@@ -10,6 +10,7 @@ package repro
 // run the real factorizations at reduced sizes.
 
 import (
+	"context"
 	"testing"
 
 	"repro/factor"
@@ -34,7 +35,7 @@ func benchExperiment(b *testing.B, id string, metrics map[string][2]string) {
 	}
 	var tb *bench.Table
 	for i := 0; i < b.N; i++ {
-		tb = e.Run(bench.Config{Mode: bench.Modeled})
+		tb = e.Run(context.Background(), bench.Config{Mode: bench.Modeled})
 	}
 	for name, rc := range metrics {
 		for _, r := range tb.Rows {
@@ -176,7 +177,7 @@ func BenchmarkMeasuredCALUTallSkinny(b *testing.B) {
 		b.StopTimer()
 		a := orig.Clone()
 		b.StartTimer()
-		if _, err := core.CALU(a, opt); err != nil {
+		if _, err := core.CALU(context.Background(), a, opt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -223,7 +224,7 @@ func BenchmarkMeasuredTiledLU(b *testing.B) {
 		b.StopTimer()
 		a := orig.Clone()
 		b.StartTimer()
-		if _, err := tiled.GETRF(a, tiled.Options{TileSize: 128, Workers: 4}); err != nil {
+		if _, err := tiled.GETRF(context.Background(), a, tiled.Options{TileSize: 128, Workers: 4}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -252,7 +253,7 @@ func BenchmarkMeasuredCAQRSquare(b *testing.B) {
 		b.StopTimer()
 		a := orig.Clone()
 		b.StartTimer()
-		if _, err := core.CAQR(a, opt); err != nil {
+		if _, err := core.CAQR(context.Background(), a, opt, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

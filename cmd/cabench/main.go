@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -104,9 +105,10 @@ func main() {
 		}
 	}
 
+	ctx := context.Background()
 	if *exp == "all" {
 		for _, e := range bench.Experiments() {
-			emit(e.Run(cfg))
+			emit(e.Run(ctx, cfg))
 		}
 		return
 	}
@@ -115,7 +117,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
 		os.Exit(2)
 	}
-	emit(e.Run(cfg))
+	emit(e.Run(ctx, cfg))
 }
 
 // runGemm executes the kernel trajectory, optionally writes the JSON

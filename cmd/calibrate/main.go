@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"runtime"
@@ -171,6 +172,8 @@ func schedOverhead() float64 {
 		g.Add(&sched.Task{Run: func() {}})
 	}
 	start := time.Now()
-	(&sched.Runner{Workers: runtime.NumCPU()}).Run(g)
+	if _, err := sched.Run(context.Background(), g, runtime.NumCPU(), sched.SubmitOptions{}); err != nil {
+		panic(err)
+	}
 	return time.Since(start).Seconds() / n
 }

@@ -131,8 +131,9 @@ func decodeJSON(r *http.Request) (*request, error) {
 	if jr.Rows <= 0 || jr.Cols <= 0 {
 		return nil, badRequest("rows and cols must be positive, got %dx%d", jr.Rows, jr.Cols)
 	}
-	if len(jr.Data) != jr.Rows*jr.Cols {
-		return nil, badRequest("data length %d != rows*cols = %d", len(jr.Data), jr.Rows*jr.Cols)
+	// Compared by division: rows*cols can overflow int.
+	if len(jr.Data)%jr.Cols != 0 || len(jr.Data)/jr.Cols != jr.Rows {
+		return nil, badRequest("data length %d != rows*cols for a %dx%d matrix", len(jr.Data), jr.Rows, jr.Cols)
 	}
 	tree, err := parseTree(jr.Options.Tree)
 	if err != nil {
@@ -178,10 +179,11 @@ func decodeBinary(r *http.Request) (*request, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, badRequest("binary requests need positive rows and cols query parameters, got %dx%d", rows, cols)
 	}
-	want := rows * cols * 8
-	if want > maxBodyBytes {
+	// Bounded by division before multiplying: rows*cols*8 can overflow int.
+	if rows > maxBodyBytes/8/cols {
 		return nil, badRequest("matrix %dx%d exceeds the %d-byte body limit", rows, cols, maxBodyBytes)
 	}
+	want := rows * cols * 8
 	buf, err := io.ReadAll(io.LimitReader(r.Body, int64(want)+1))
 	if err != nil {
 		return nil, badRequest("reading matrix bytes: %v", err)

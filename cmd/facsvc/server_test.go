@@ -184,6 +184,15 @@ func TestBadRequests(t *testing.T) {
 	if got := post("/v1/lu", "application/octet-stream", binaryBody([]float64{1})); got != http.StatusBadRequest {
 		t.Fatalf("binary without shape: status %d, want 400", got)
 	}
+	// Dimensions whose element or byte count overflows int.
+	for _, q := range []string{"rows=2147483648&cols=2147483648", "rows=2305843009213693952&cols=1"} {
+		if got := post("/v1/lu?"+q, "application/octet-stream", nil); got != http.StatusBadRequest {
+			t.Fatalf("binary %s: status %d, want 400", q, got)
+		}
+	}
+	if got := post("/v1/lu", "application/json", []byte(`{"rows":4294967296,"cols":4294967296,"data":[]}`)); got != http.StatusBadRequest {
+		t.Fatalf("JSON rows*cols overflow: status %d, want 400", got)
+	}
 	// NaN entry: decodes fine, engine rejects with ErrNonFinite -> 400.
 	nan := identity(4)
 	nan[5] = math.NaN()

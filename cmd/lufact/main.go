@@ -25,6 +25,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -144,7 +145,7 @@ func main() {
 		if *m != *n {
 			fmt.Fprintln(os.Stderr, "tiled verification requires a square matrix")
 		}
-		lu, err := tiled.GETRF(a, tiled.Options{TileSize: *tile, Workers: *workers})
+		lu, err := tiled.GETRF(context.Background(), a, tiled.Options{TileSize: *tile, Workers: *workers})
 		fail(err)
 		elapsedReport(start, *m, *n)
 		if *m == *n {

@@ -66,7 +66,7 @@ func main() {
 	switch *alg {
 	case "caqr":
 		opt := core.Options{BlockSize: *b, PanelThreads: *tr, Tree: tree, Workers: *workers, Lookahead: true, Trace: *crit}
-		res, err := core.CAQRWithPoolCtx(ctx, a, opt, nil)
+		res, err := core.CAQR(ctx, a, opt, nil)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintln(os.Stderr, "interrupted: factorization cancelled")
@@ -101,7 +101,11 @@ func main() {
 		elapsedReport(start, *m, *n)
 		q, r = lapack.ORGQR(a, tau, min(*m, *n)), lapack.ExtractR(a)
 	case "tiled":
-		res := tiled.GEQRF(a, tiled.Options{TileSize: *tile, Workers: *workers})
+		res, err := tiled.GEQRF(ctx, a, tiled.Options{TileSize: *tile, Workers: *workers})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "factorization:", err)
+			os.Exit(1)
+		}
 		elapsedReport(start, *m, *n)
 		q, r = res.ExplicitQ(), res.R()
 	default:

@@ -84,13 +84,13 @@ func main() {
 		a := matrix.Random(*m, *n, 42)
 		var events []sched.Event
 		if *alg == "caqr" {
-			res, err := core.CAQRWithPoolCtx(ctx, a, opt, nil)
+			res, err := core.CAQR(ctx, a, opt, nil)
 			if err != nil {
 				reportRunError(err)
 			}
 			events, graph = res.Events, res.Graph
 		} else {
-			res, err := core.CALUWithPoolCtx(ctx, a, opt, nil)
+			res, err := core.CALU(ctx, a, opt, nil)
 			if err != nil {
 				reportRunError(err)
 			}

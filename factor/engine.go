@@ -618,7 +618,7 @@ func (e *Engine) LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactoriz
 	var res *core.LUResult
 	err := e.serve(ctx, a, func(actx context.Context) error {
 		var rerr error
-		res, rerr = core.CALUWithPoolCtx(actx, a, e.engineOptions(opt), e.pool)
+		res, rerr = core.CALU(actx, a, e.engineOptions(opt), e.pool)
 		return rerr
 	})
 	if err != nil {
@@ -653,7 +653,7 @@ func (e *Engine) QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactoriz
 	var res *core.QRResult
 	err := e.serve(ctx, a, func(actx context.Context) error {
 		var rerr error
-		res, rerr = core.CAQRWithPoolCtx(actx, a, e.engineOptions(opt), e.pool)
+		res, rerr = core.CAQR(actx, a, e.engineOptions(opt), e.pool)
 		return rerr
 	})
 	if err != nil {

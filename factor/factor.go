@@ -219,7 +219,7 @@ func LU(a *Matrix, opt Options) (*LUFactorization, error) {
 // after a cancelled call.
 func LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
 	iopt := opt.internal()
-	res, err := core.CALUWithPoolCtx(ctx, a, iopt, nil)
+	res, err := core.CALU(ctx, a, iopt, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +271,7 @@ func QR(a *Matrix, opt Options) (*QRFactorization, error) {
 // LUCtx: an error wrapping the context's error, never a partial result.
 func QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
 	iopt := opt.internal()
-	res, err := core.CAQRWithPoolCtx(ctx, a, iopt, nil)
+	res, err := core.CAQR(ctx, a, iopt, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -35,7 +36,7 @@ func ablationShapes(cfg Config) []shape {
 
 // ablationTree compares binary vs flat (height-1) reduction trees for both
 // CALU and CAQR panels.
-func ablationTree(cfg Config) *Table {
+func ablationTree(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-tree",
 		Title:    "Reduction tree shape: binary vs flat (height 1)",
@@ -62,7 +63,7 @@ func ablationTree(cfg Config) *Table {
 }
 
 // ablationLookahead turns the column-ordered look-ahead priorities off.
-func ablationLookahead(cfg Config) *Table {
+func ablationLookahead(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-lookahead",
 		Title:    "Look-ahead priorities on vs off",
@@ -86,7 +87,7 @@ func ablationLookahead(cfg Config) *Table {
 }
 
 // ablationBlockSize sweeps the panel width b.
-func ablationBlockSize(cfg Config) *Table {
+func ablationBlockSize(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-blocksize",
 		Title:    "Panel block size b sweep (CALU, Tr=8)",
@@ -113,7 +114,7 @@ func ablationBlockSize(cfg Config) *Table {
 
 // ablationTwoLevel evaluates the paper's future-work two-level blocking
 // B = ColsPerTask * b for the trailing update.
-func ablationTwoLevel(cfg Config) *Table {
+func ablationTwoLevel(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-twolevel",
 		Title:    "Two-level blocking: trailing-update columns per task (B = c*b)",
@@ -140,7 +141,7 @@ func ablationTwoLevel(cfg Config) *Table {
 
 // ablationTr sweeps the panel parallelism knob on its own, holding the
 // machine fixed — the paper's central parameter.
-func ablationTr(cfg Config) *Table {
+func ablationTr(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-tr",
 		Title:    "Panel parallelism Tr sweep (CALU, 8-core Intel)",
@@ -167,7 +168,7 @@ func ablationTr(cfg Config) *Table {
 
 // ablationSync counts the synchronization structure: dependency edges and
 // critical-path task count, the communication-avoiding metric itself.
-func ablationSync(cfg Config) *Table {
+func ablationSync(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-sync",
 		Title:    "Synchronization structure: CALU vs fork-join vendor model",
@@ -208,7 +209,7 @@ func init() {
 // anticipates: dense stacked tree merges (the paper's implementation)
 // versus structured triangle-on-triangle kernels (TTQRT, as PLASMA's
 // follow-up work used).
-func ablationStructured(cfg Config) *Table {
+func ablationStructured(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ablation-structured",
 		Title:    "CAQR tree kernels: dense stacked QR vs structured TTQRT",

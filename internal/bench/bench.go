@@ -19,6 +19,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -129,7 +130,7 @@ type Experiment struct {
 	// PaperRef cites the reproduced artifact.
 	PaperRef string
 	// Run produces the table.
-	Run func(cfg Config) *Table
+	Run func(ctx context.Context, cfg Config) *Table
 }
 
 var registry []Experiment

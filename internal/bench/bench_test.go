@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -27,7 +28,7 @@ func runModeled(t *testing.T, id string) *Table {
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	return e.Run(Config{Mode: Modeled})
+	return e.Run(context.Background(), Config{Mode: Modeled})
 }
 
 func TestRegistryComplete(t *testing.T) {
@@ -50,7 +51,7 @@ func TestRegistryComplete(t *testing.T) {
 
 func TestAllExperimentsProduceTables(t *testing.T) {
 	for _, e := range Experiments() {
-		tb := e.Run(Config{Mode: Modeled})
+		tb := e.Run(context.Background(), Config{Mode: Modeled})
 		if tb.ID != e.ID {
 			t.Errorf("%s: table ID %q", e.ID, tb.ID)
 		}
@@ -316,7 +317,7 @@ func TestMeasuredModeSmoke(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing %s", id)
 		}
-		tb := e.Run(Config{Mode: Measured, Workers: 2})
+		tb := e.Run(context.Background(), Config{Mode: Measured, Workers: 2})
 		if len(tb.Rows) == 0 {
 			t.Errorf("%s measured: empty table", id)
 		}

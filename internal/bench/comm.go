@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/baseline"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -11,7 +12,7 @@ import (
 // behind the paper's Sections I-II: per-panel synchronization counts for
 // classic vs ca-pivoting, and graph-derived span/parallelism for the full
 // factorizations.
-func commExperiment(cfg Config) *Table {
+func commExperiment(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "comm",
 		Title:    "Synchronization and critical-path structure, CALU vs classic",

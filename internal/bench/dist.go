@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/dist"
 	"repro/internal/matrix"
 )
@@ -9,7 +10,7 @@ import (
 // distributed-memory panel factorizations (the paper's Section II setting)
 // on the mini message-passing runtime: tournament pivoting vs classic
 // partial pivoting, across process counts.
-func distExperiment(cfg Config) *Table {
+func distExperiment(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "dist",
 		Title:    "Distributed panel factorization: messages per process (measured on the message-passing runtime)",

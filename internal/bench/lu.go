@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"runtime"
 
 	"repro/internal/baseline"
@@ -53,7 +54,7 @@ func luRowModel(m, n int, trs []int, mach *machine.Model, vendorCores int) map[s
 }
 
 // luRowMeasured computes one row with real execution at reduced scale.
-func luRowMeasured(m, n int, trs []int, workers int) map[string]float64 {
+func luRowMeasured(ctx context.Context, m, n int, trs []int, workers int) map[string]float64 {
 	vals := map[string]float64{}
 	canon := baseline.LUFlops(m, n)
 	orig := matrix.Random(m, n, int64(m+n))
@@ -61,7 +62,7 @@ func luRowMeasured(m, n int, trs []int, workers int) map[string]float64 {
 		a := orig.Clone()
 		opt := core.Options{BlockSize: paperB(n), PanelThreads: tr, Tree: tslu.Binary, Workers: workers, Lookahead: true}
 		secs := timeIt(func() {
-			if _, err := core.CALU(a, opt); err != nil {
+			if _, err := core.CALU(ctx, a, opt, nil); err != nil {
 				panic(err)
 			}
 		})
@@ -90,7 +91,7 @@ func luRowMeasured(m, n int, trs []int, workers int) map[string]float64 {
 	{
 		a := orig.Clone()
 		secs := timeIt(func() {
-			if _, err := tiled.GETRF(a, tiled.Options{TileSize: min(plasmaTile, max(n, 8)), Workers: workers}); err != nil {
+			if _, err := tiled.GETRF(ctx, a, tiled.Options{TileSize: min(plasmaTile, max(n, 8)), Workers: workers}); err != nil {
 				panic(err)
 			}
 		})
@@ -118,7 +119,7 @@ func itoa(v int) string {
 }
 
 // tallSkinnyLU builds the Fig. 5/6/7 table.
-func tallSkinnyLU(cfg Config, id, title, ref string, mModel, mMeasured int, trs []int, mach *machine.Model, vendorCores int, vendorName string) *Table {
+func tallSkinnyLU(ctx context.Context, cfg Config, id, title, ref string, mModel, mMeasured int, trs []int, mach *machine.Model, vendorCores int, vendorName string) *Table {
 	t := &Table{
 		ID: id, Title: title, PaperRef: ref, Unit: "GFlop/s",
 	}
@@ -139,7 +140,7 @@ func tallSkinnyLU(cfg Config, id, title, ref string, mModel, mMeasured int, trs 
 			vals = luRowModel(mModel, n, trs, mach, vendorCores)
 		} else {
 			progress(cfg, "%s: measuring m=%d n=%d", id, mMeasured, n)
-			vals = luRowMeasured(mMeasured, n, trs, workersOrCPU(cfg))
+			vals = luRowMeasured(ctx, mMeasured, n, trs, workersOrCPU(cfg))
 		}
 		m := mModel
 		if cfg.Mode == Measured {
@@ -155,7 +156,7 @@ func tallSkinnyLU(cfg Config, id, title, ref string, mModel, mMeasured int, trs 
 }
 
 // squareLU builds Tables I / II.
-func squareLU(cfg Config, id, title, ref string, sizes []int, trs []int, mach *machine.Model, vendorCores int, vendorName string) *Table {
+func squareLU(ctx context.Context, cfg Config, id, title, ref string, sizes []int, trs []int, mach *machine.Model, vendorCores int, vendorName string) *Table {
 	t := &Table{ID: id, Title: title, PaperRef: ref, Unit: "GFlop/s"}
 	t.Columns = append(t.Columns, vendorName, "PLASMA")
 	for _, tr := range trs {
@@ -192,7 +193,7 @@ func squareLU(cfg Config, id, title, ref string, sizes []int, trs []int, mach *m
 			{
 				a := orig.Clone()
 				secs := timeIt(func() {
-					if _, err := tiled.GETRF(a, tiled.Options{TileSize: 64, Workers: workers}); err != nil {
+					if _, err := tiled.GETRF(ctx, a, tiled.Options{TileSize: 64, Workers: workers}); err != nil {
 						panic(err)
 					}
 				})
@@ -202,7 +203,7 @@ func squareLU(cfg Config, id, title, ref string, sizes []int, trs []int, mach *m
 				a := orig.Clone()
 				opt := core.Options{BlockSize: min(paperBlock, n/4), PanelThreads: tr, Tree: tslu.Binary, Workers: workers, Lookahead: true}
 				secs := timeIt(func() {
-					if _, err := core.CALU(a, opt); err != nil {
+					if _, err := core.CALU(ctx, a, opt, nil); err != nil {
 						panic(err)
 					}
 				})
@@ -219,8 +220,8 @@ func init() {
 		ID:       "fig5",
 		Title:    "LU of tall-skinny matrices, m=10^5, 8-core Intel",
 		PaperRef: "Figure 5",
-		Run: func(cfg Config) *Table {
-			return tallSkinnyLU(cfg, "fig5",
+		Run: func(ctx context.Context, cfg Config) *Table {
+			return tallSkinnyLU(ctx, cfg, "fig5",
 				"LU of tall-skinny matrices, m=10^5, 8-core Intel",
 				"Figure 5", 100000, 20000, []int{8, 4}, machine.Intel8(), machine.Intel8().Cores, "MKL")
 		},
@@ -229,8 +230,8 @@ func init() {
 		ID:       "fig6",
 		Title:    "LU of tall-skinny matrices, m=10^6, 8-core Intel",
 		PaperRef: "Figure 6",
-		Run: func(cfg Config) *Table {
-			return tallSkinnyLU(cfg, "fig6",
+		Run: func(ctx context.Context, cfg Config) *Table {
+			return tallSkinnyLU(ctx, cfg, "fig6",
 				"LU of tall-skinny matrices, m=10^6, 8-core Intel",
 				"Figure 6", 1000000, 50000, []int{8, 4}, machine.Intel8(), machine.Intel8().Cores, "MKL")
 		},
@@ -239,8 +240,8 @@ func init() {
 		ID:       "fig7",
 		Title:    "LU of tall-skinny matrices, m=10^5, 16-core AMD",
 		PaperRef: "Figure 7",
-		Run: func(cfg Config) *Table {
-			return tallSkinnyLU(cfg, "fig7",
+		Run: func(ctx context.Context, cfg Config) *Table {
+			return tallSkinnyLU(ctx, cfg, "fig7",
 				"LU of tall-skinny matrices, m=10^5, 16-core AMD",
 				"Figure 7", 100000, 20000, []int{16, 8}, machine.AMD16(), acmlCores, "ACML")
 		},
@@ -249,8 +250,8 @@ func init() {
 		ID:       "table1",
 		Title:    "LU of square matrices, 8-core Intel",
 		PaperRef: "Table I",
-		Run: func(cfg Config) *Table {
-			return squareLU(cfg, "table1",
+		Run: func(ctx context.Context, cfg Config) *Table {
+			return squareLU(ctx, cfg, "table1",
 				"LU of square matrices, 8-core Intel",
 				"Table I", []int{1000, 2000, 3000, 4000, 5000, 10000},
 				[]int{1, 2, 4, 8}, machine.Intel8(), machine.Intel8().Cores, "MKL")
@@ -260,8 +261,8 @@ func init() {
 		ID:       "table2",
 		Title:    "LU of square matrices, 16-core AMD",
 		PaperRef: "Table II",
-		Run: func(cfg Config) *Table {
-			return squareLU(cfg, "table2",
+		Run: func(ctx context.Context, cfg Config) *Table {
+			return squareLU(ctx, cfg, "table2",
 				"LU of square matrices, 16-core AMD",
 				"Table II", []int{1000, 2000, 3000, 4000, 5000},
 				[]int{1, 2, 4, 8, 16}, machine.AMD16(), acmlCores, "ACML")

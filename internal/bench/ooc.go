@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -12,7 +13,7 @@ import (
 // oocExperiment quantifies the sequential (memory-hierarchy) side of
 // Section II: words moved between fast and slow memory for one panel, by
 // algorithm, simulated on an LRU cache.
-func oocExperiment(cfg Config) *Table {
+func oocExperiment(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "ooc",
 		Title:    "Sequential communication: words moved per m x 100 panel (LRU cache = 10% of panel)",
@@ -50,7 +51,7 @@ func oocExperiment(cfg Config) *Table {
 
 // scalingExperiment sweeps the virtual core count for a fixed workload —
 // the strong-scaling view the paper's per-machine tables imply.
-func scalingExperiment(cfg Config) *Table {
+func scalingExperiment(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "scaling",
 		Title:    "Strong scaling of CALU vs vendor model (Intel profile, cores swept)",

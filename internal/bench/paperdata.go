@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/baseline"
@@ -48,7 +49,7 @@ var paperTable3 = map[int][6]float64{
 
 // parityExperiment prints the modeled GFlop/s against the paper's published
 // numbers for Tables I-III and reports per-table mean relative deviation.
-func parityExperiment(cfg Config) *Table {
+func parityExperiment(_ context.Context, cfg Config) *Table {
 	t := &Table{
 		ID:       "parity",
 		Title:    "Model vs paper: published GFlop/s side by side",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/lapack"
@@ -42,18 +43,18 @@ func qrRowModel(m, n int, mach *machine.Model) map[string]float64 {
 	return vals
 }
 
-func qrRowMeasured(m, n, workers int) map[string]float64 {
+func qrRowMeasured(ctx context.Context, m, n, workers int) map[string]float64 {
 	canon := baseline.QRFlops(m, n)
 	vals := map[string]float64{}
 	orig := matrix.Random(m, n, int64(m-n))
 	{
 		a := orig.Clone()
-		secs := timeIt(func() { mustQR(core.CAQR(a, tsqrOptions(n, workers, workers))) })
+		secs := timeIt(func() { must(core.CAQR(ctx, a, tsqrOptions(n, workers, workers), nil)) })
 		vals["TSQR"] = gflops(canon, secs)
 	}
 	{
 		a := orig.Clone()
-		secs := timeIt(func() { mustQR(core.CAQR(a, caqrOptions(n, workers))) })
+		secs := timeIt(func() { must(core.CAQR(ctx, a, caqrOptions(n, workers), nil)) })
 		vals["CAQR(Tr=4)"] = gflops(canon, secs)
 	}
 	{
@@ -70,7 +71,9 @@ func qrRowMeasured(m, n, workers int) map[string]float64 {
 	}
 	{
 		a := orig.Clone()
-		secs := timeIt(func() { tiled.GEQRF(a, tiled.Options{TileSize: min(plasmaTile, max(n, 8)), Workers: workers}) })
+		secs := timeIt(func() {
+			must(tiled.GEQRF(ctx, a, tiled.Options{TileSize: min(plasmaTile, max(n, 8)), Workers: workers}))
+		})
 		vals["PLASMA"] = gflops(canon, secs)
 	}
 	return vals
@@ -81,7 +84,7 @@ func init() {
 		ID:       "fig8",
 		Title:    "QR of tall-skinny matrices, m=10^5, 8-core Intel",
 		PaperRef: "Figure 8",
-		Run: func(cfg Config) *Table {
+		Run: func(ctx context.Context, cfg Config) *Table {
 			t := &Table{
 				ID:       "fig8",
 				Title:    "QR of tall-skinny matrices, m=10^5, 8-core Intel",
@@ -106,7 +109,7 @@ func init() {
 				} else {
 					m = mMeasured
 					progress(cfg, "fig8: measuring m=%d n=%d", mMeasured, n)
-					vals = qrRowMeasured(mMeasured, n, workersOrCPU(cfg))
+					vals = qrRowMeasured(ctx, mMeasured, n, workersOrCPU(cfg))
 				}
 				t.Rows = append(t.Rows, RowData{Label: rowLabel(m, n), Values: vals})
 			}
@@ -118,7 +121,7 @@ func init() {
 		ID:       "table3",
 		Title:    "QR of square matrices, 8-core Intel",
 		PaperRef: "Table III",
-		Run: func(cfg Config) *Table {
+		Run: func(ctx context.Context, cfg Config) *Table {
 			t := &Table{
 				ID:       "table3",
 				Title:    "QR of square matrices, 8-core Intel",
@@ -158,13 +161,13 @@ func init() {
 					}
 					{
 						a := orig.Clone()
-						secs := timeIt(func() { tiled.GEQRF(a, tiled.Options{TileSize: 64, Workers: workers}) })
+						secs := timeIt(func() { must(tiled.GEQRF(ctx, a, tiled.Options{TileSize: 64, Workers: workers})) })
 						vals["PLASMA"] = gflops(canon, secs)
 					}
 					for _, tr := range trs {
 						a := orig.Clone()
 						opt := core.Options{BlockSize: min(paperBlock, n/4), PanelThreads: tr, Tree: tslu.Flat, Workers: workers, Lookahead: true}
-						secs := timeIt(func() { mustQR(core.CAQR(a, opt)) })
+						secs := timeIt(func() { must(core.CAQR(ctx, a, opt, nil)) })
 						vals["CAQR(Tr="+itoa(tr)+")"] = gflops(canon, secs)
 					}
 				}
@@ -175,9 +178,9 @@ func init() {
 	})
 }
 
-// mustQR discards a benchmark factorization result, panicking on error:
+// must discards a benchmark factorization result, panicking on error:
 // bench inputs are well-formed by construction, so an error is a bug.
-func mustQR(_ *core.QRResult, err error) {
+func must[T any](_ T, err error) {
 	if err != nil {
 		panic(err)
 	}

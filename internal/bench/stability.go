@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/core"
@@ -13,7 +14,7 @@ import (
 // ca-pivoting is as stable as partial pivoting in practice: growth factors
 // of GEPP, CALU and tiled (incremental-pivoting) LU across matrix classes.
 // It always executes real factorizations; Mode only affects sizes.
-func stabilityExperiment(cfg Config) *Table {
+func stabilityExperiment(ctx context.Context, cfg Config) *Table {
 	n := 256
 	if cfg.Mode == Measured {
 		n = 128
@@ -41,11 +42,11 @@ func stabilityExperiment(cfg Config) *Table {
 		progress(cfg, "stability: %s n=%d", c.name, n)
 		a := c.gen()
 		ref := stability.MeasureGEPP(a)
-		calu, err := stability.MeasureCALU(a, opt)
+		calu, err := stability.MeasureCALU(ctx, a, opt)
 		if err != nil {
 			panic(err)
 		}
-		lu, err := tiled.GETRF(a.Clone(), tiled.Options{TileSize: 32, Workers: opt.Workers})
+		lu, err := tiled.GETRF(ctx, a.Clone(), tiled.Options{TileSize: 32, Workers: opt.Workers})
 		if err != nil {
 			panic(err)
 		}
@@ -80,7 +81,7 @@ func init() {
 // samples, comparing the distribution of growth factors between partial
 // pivoting and tournament pivoting across Tr. Reported are the mean and
 // max growth over the sample set.
-func stabilitySweep(cfg Config) *Table {
+func stabilitySweep(ctx context.Context, cfg Config) *Table {
 	n, samples := 96, 12
 	if cfg.Mode == Measured {
 		n, samples = 64, 6
@@ -98,7 +99,7 @@ func stabilitySweep(cfg Config) *Table {
 		for s := 0; s < samples; s++ {
 			a := matrix.RandomNormal(n, n, int64(tr*1000+s))
 			ref := stability.MeasureGEPP(a)
-			got, err := stability.MeasureCALU(a, core.Options{
+			got, err := stability.MeasureCALU(ctx, a, core.Options{
 				BlockSize: 16, PanelThreads: tr, Workers: workersOrCPU(cfg), Lookahead: true,
 			})
 			if err != nil {

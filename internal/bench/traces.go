@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -15,7 +16,7 @@ import (
 // traceExperiment reproduces Figs. 3-4: the execution trace of CALU on a
 // tall-skinny matrix with Tr=1 (panel serialized, idle bubbles) vs Tr=8
 // (panel parallel, cores busy).
-func traceExperiment(cfg Config, id string, tr int) *Table {
+func traceExperiment(ctx context.Context, cfg Config, id string, tr int) *Table {
 	t := &Table{
 		ID:       id,
 		Title:    fmt.Sprintf("CALU execution trace, 10^5 x 1000, b=100, Tr=%d, 8-core Intel", tr),
@@ -36,7 +37,7 @@ func traceExperiment(cfg Config, id string, tr int) *Table {
 		workers := workersOrCPU(cfg)
 		a := matrix.Random(4000, 400, 77)
 		opt := core.Options{BlockSize: 100, PanelThreads: tr, Workers: workers, Trace: true, Lookahead: true}
-		res, err := core.CALU(a, opt)
+		res, err := core.CALU(ctx, a, opt, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -63,12 +64,12 @@ func init() {
 		ID:       "fig3",
 		Title:    "CALU trace with Tr=1: panel-induced idle time",
 		PaperRef: "Figure 3",
-		Run:      func(cfg Config) *Table { return traceExperiment(cfg, "fig3", 1) },
+		Run:      func(ctx context.Context, cfg Config) *Table { return traceExperiment(ctx, cfg, "fig3", 1) },
 	})
 	register(Experiment{
 		ID:       "fig4",
 		Title:    "CALU trace with Tr=8: parallel panel removes idle time",
 		PaperRef: "Figure 4",
-		Run:      func(cfg Config) *Table { return traceExperiment(cfg, "fig4", 8) },
+		Run:      func(ctx context.Context, cfg Config) *Table { return traceExperiment(ctx, cfg, "fig4", 8) },
 	})
 }

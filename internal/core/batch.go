@@ -6,11 +6,12 @@ package core
 // (sched.MergeGraphs) — aggregating small operations into fewer, larger
 // ones, the communication-avoiding idea applied at the request level.
 //
-// The split mirrors the single-request entry points exactly: Prepare does
-// validation, the finite scan and graph construction; Finish does the
-// post-execution bookkeeping (deferred pivot application, per-panel error
-// reporting). A prepared request is single-use: its graph is consumed by
-// the submission that runs it.
+// The split is the single-request path itself: CALU and CAQR are Prepare,
+// one pool submission, then Finish. Prepare does validation, the finite
+// scan and graph construction; Finish does the post-execution bookkeeping
+// (deferred pivot application, per-panel error reporting). A prepared
+// request is single-use: its graph is consumed by the submission that runs
+// it.
 
 import (
 	"fmt"
@@ -29,40 +30,26 @@ type PreparedLU struct {
 }
 
 // PrepareCALU validates a and builds its CALU task graph without executing
-// it. It requires m >= n: the wide case recurses through sequential
-// post-processing that cannot ride a coalesced submission (callers route
-// wide matrices through CALUWithPoolCtx instead). Options.Trace is ignored
-// — a merged submission's trace cannot be attributed to one request.
+// it. It requires m >= n: CALU routes wide matrices through a recursion
+// whose sequential post-processing cannot ride a coalesced submission.
+// Options.Trace and Options.WorkStealing do not shape the graph; whoever
+// submits it picks the trace and policy.
 func PrepareCALU(a *matrix.Dense, opt Options) (*PreparedLU, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
+	maxA, wsums, err := checkInput(a, opt.Verify)
 	if err != nil {
 		return nil, err
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("%w: prepared CALU requires m >= n, got %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	if err := opt.normalize(a.Rows, a.Cols); err != nil {
 		return nil, err
 	}
-	opt.Trace = false
-	res := &LUResult{A: a}
 	b := newCALUBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
+	b.a, b.maxA, b.wsums = a, maxA, wsums
 	if opt.Verify {
-		b.wsums = wsums
 		b.vsums = make([]float64, a.Cols)
 		b.recomputed = make([]bool, b.nb)
 	}
 	b.build()
-	return &PreparedLU{b: b, res: res}, nil
+	return &PreparedLU{b: b, res: &LUResult{A: a}}, nil
 }
 
 // Graph returns the request's task graph. Merging it (sched.MergeGraphs)
@@ -72,10 +59,10 @@ func (p *PreparedLU) Graph() *sched.Graph { return p.b.g }
 // Finish completes the request after its graph ran: runErr is the combined
 // submission's error (nil on a clean run). On success it applies the
 // deferred row interchanges to the L blocks left of each panel and reports
-// the first singular panel, matching CALUWithPoolCtx; the result
-// accompanying a non-nil error is partial and must not be used. The
-// Graph/Events fields of a batched result are nil: the merged submission
-// owns the combined graph.
+// the first singular panel; the result accompanying a non-nil error is
+// partial and must not be used. Finish leaves the Graph/Events fields nil:
+// CALU fills them in, while a batched request's merged submission owns the
+// combined graph.
 func (p *PreparedLU) Finish(runErr error) (*LUResult, error) {
 	res := p.res
 	res.Swaps = p.b.swaps
@@ -92,6 +79,8 @@ func (p *PreparedLU) Finish(runErr error) (*LUResult, error) {
 	if runErr != nil {
 		return res, fmt.Errorf("core: CALU execution failed: %w", runErr)
 	}
+	// Deferred application of row interchanges to the L blocks left of each
+	// panel (Algorithm 1 line 41).
 	bs := p.b.opt.BlockSize
 	for k := 1; k < len(p.b.swaps); k++ {
 		left := p.b.a.View(0, 0, p.b.a.Rows, k*bs)
@@ -113,32 +102,19 @@ type PreparedQR struct {
 }
 
 // PrepareCAQR validates a and builds its CAQR task graph without executing
-// it, under the same m >= n restriction (and Trace behavior) as PrepareCALU.
+// it, under the same m >= n restriction as PrepareCALU.
 func PrepareCAQR(a *matrix.Dense, opt Options) (*PreparedQR, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
+	maxA, wsums, err := checkInput(a, opt.Verify)
 	if err != nil {
 		return nil, err
-	}
-	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("%w: prepared CAQR requires m >= n, got %dx%d", ErrShape, a.Rows, a.Cols)
 	}
 	if err := opt.normalize(a.Rows, a.Cols); err != nil {
 		return nil, err
 	}
-	opt.Trace = false
 	res := &QRResult{A: a}
 	b := newCAQRBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
+	b.a, b.res, b.maxA, b.wsums = a, res, maxA, wsums
 	if opt.Verify {
-		b.wsums = wsums
 		b.u = onesVector(a.Rows)
 	}
 	b.build()
@@ -148,9 +124,7 @@ func PrepareCAQR(a *matrix.Dense, opt Options) (*PreparedQR, error) {
 // Graph returns the request's task graph; see PreparedLU.Graph.
 func (p *PreparedQR) Graph() *sched.Graph { return p.b.g }
 
-// Finish completes the request after its graph ran, matching
-// CAQRWithPoolCtx: the result accompanying a non-nil error is partial and
-// must not be used.
+// Finish completes the request after its graph ran; see PreparedLU.Finish.
 func (p *PreparedQR) Finish(runErr error) (*QRResult, error) {
 	if runErr != nil {
 		return p.res, fmt.Errorf("core: CAQR execution failed: %w", runErr)

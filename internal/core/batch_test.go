@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -41,7 +42,7 @@ func TestPreparedBatchMatchesSolo(t *testing.T) {
 	var luWantRes []*LUResult
 	for i, a := range luIn {
 		ref := a.Clone()
-		res, err := CALU(ref, opt)
+		res, err := CALU(context.Background(), ref, opt, nil)
 		if err != nil {
 			t.Fatalf("solo CALU %d: %v", i, err)
 		}
@@ -49,7 +50,7 @@ func TestPreparedBatchMatchesSolo(t *testing.T) {
 		luWantRes = append(luWantRes, res)
 	}
 	qrWant := qrIn.Clone()
-	if _, err := CAQR(qrWant, opt); err != nil {
+	if _, err := CAQR(context.Background(), qrWant, opt, nil); err != nil {
 		t.Fatalf("solo CAQR: %v", err)
 	}
 
@@ -108,7 +109,7 @@ func TestPreparedBatchSingularIsolated(t *testing.T) {
 	opt := Options{BlockSize: 4, PanelThreads: 2, Workers: 2, Lookahead: true}
 	good := matrix.Random(20, 12, 7)
 	goodWant := good.Clone()
-	if _, err := CALU(goodWant, opt); err != nil {
+	if _, err := CALU(context.Background(), goodWant, opt, nil); err != nil {
 		t.Fatalf("solo CALU: %v", err)
 	}
 	sing := matrix.New(16, 16) // all zeros: rank deficient at panel 0

@@ -65,50 +65,30 @@ func (r *LUResult) Solve(rhs *matrix.Dense) {
 // CALU computes the communication-avoiding LU factorization with tournament
 // pivoting of the m x n matrix a, in place, using the multithreaded
 // Algorithm 1 of the paper: dynamic scheduling of P/L/U/S tasks with
-// look-ahead priorities. It returns an error wrapping ErrShape for
-// malformed inputs and one wrapping ErrSingular if a panel is rank
-// deficient.
+// look-ahead priorities. The task graph runs on pool, shared with any
+// concurrent submissions; a nil pool runs it on a private pool of
+// opt.Workers goroutines, closed before CALU returns. It returns an error
+// wrapping ErrShape for malformed inputs and one wrapping ErrSingular if a
+// panel is rank deficient.
+//
+// Cancellation of ctx is observed between tasks: tasks already executing
+// finish, the rest drain unrun, and the returned error wraps ctx's error.
+// A non-nil result accompanying an error is partial and must not be used.
+// The pool and its other submissions are unaffected, and no
+// internal/scratch workspace outlives the task that acquired it.
 //
 // Wide matrices (m < n) are handled LAPACK-style: the leading m x m block
 // is factored, and the remaining columns are overwritten with
 // U(:, m:) = L^{-1} P A(:, m:).
-func CALU(a *matrix.Dense, opt Options) (*LUResult, error) {
-	return CALUWithPool(a, opt, nil)
-}
-
-// CALUWithPool is CALU executed on a caller-owned persistent worker pool:
-// the task graph is built as usual and submitted to pool, so many
-// factorizations can share (and concurrently occupy) one set of worker
-// goroutines. opt.Workers is ignored — the pool's size rules. A nil pool
-// falls back to a private one-shot pool, which is exactly CALU.
-func CALUWithPool(a *matrix.Dense, opt Options, pool *sched.Pool) (*LUResult, error) {
-	return CALUWithPoolCtx(context.Background(), a, opt, pool) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// CALUWithPoolCtx is CALUWithPool bound to a context: once ctx is cancelled
-// or its deadline expires, the submission stops dispatching tasks (ones
-// already executing finish; the rest are drained unrun) and the call
-// returns an error wrapping ctx's error. The returned result, if non-nil,
-// is partial and must not be used; the pool itself stays fully usable and
-// concurrent submissions are unaffected. Cancelled runs leak nothing: every
-// internal/scratch workspace is acquired and released inside a single
-// task's Run, so skipped tasks never acquire one.
-func CALUWithPoolCtx(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*LUResult, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
-	if err != nil {
-		return nil, err
-	}
-	if a.Rows < a.Cols {
+func CALU(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*LUResult, error) {
+	if a != nil && a.Rows < a.Cols {
+		// The trailing columns never enter the task graph; scan them here.
+		if _, _, err := checkInput(a, false); err != nil {
+			return nil, err
+		}
 		left := a.View(0, 0, a.Rows, a.Rows)
-		res, err := CALUWithPoolCtx(ctx, left, opt, pool)
-		if res == nil || err != nil {
+		res, err := CALU(ctx, left, opt, pool)
+		if err != nil {
 			return nil, err
 		}
 		res.A = a
@@ -117,50 +97,16 @@ func CALUWithPoolCtx(ctx context.Context, a *matrix.Dense, opt Options, pool *sc
 			tslu.ApplyPivots(right, sw, res.swapOrigin(k))
 		}
 		blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, left, right)
-		return res, err
+		return res, nil
 	}
-	if err := opt.normalize(a.Rows, a.Cols); err != nil {
+	p, err := PrepareCALU(a, opt)
+	if err != nil {
 		return nil, err
 	}
-	res := &LUResult{A: a}
-	b := newCALUBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
-	if opt.Verify {
-		b.wsums = wsums[:a.Cols]
-		b.vsums = make([]float64, a.Cols)
-		b.recomputed = make([]bool, b.nb)
-	}
-	b.build()
-	events, err := runGraph(ctx, b.g, &opt, pool)
-	res.Events = events
-	res.Graph = b.g
-	res.Swaps = b.swaps
-	for k, fb := range b.fellBack {
-		if fb {
-			res.FallbackPanels = append(res.FallbackPanels, k)
-		}
-	}
-	for k, rc := range b.recomputed {
-		if rc {
-			res.RecomputedPanels = append(res.RecomputedPanels, k)
-		}
-	}
-	if err != nil {
-		return res, fmt.Errorf("core: CALU execution failed: %w", err)
-	}
-	// Deferred application of row interchanges to the L blocks left of each
-	// panel (Algorithm 1 line 41).
-	for k := 1; k < len(b.swaps); k++ {
-		left := a.View(0, 0, a.Rows, k*opt.BlockSize)
-		tslu.ApplyPivots(left, b.swaps[k], k*opt.BlockSize)
-	}
-	for k, err := range b.errs {
-		if err != nil {
-			return res, fmt.Errorf("core: CALU panel %d: %w", k, err)
-		}
-	}
-	return res, nil
+	events, runErr := runGraph(ctx, p.b.g, p.b.opt, pool)
+	res, err := p.Finish(runErr)
+	res.Events, res.Graph = events, p.b.g
+	return res, err
 }
 
 // BuildCALUGraph constructs the CALU task graph for an m x n matrix without
@@ -179,36 +125,24 @@ func BuildCALUGraph(m, n int, opt Options) *sched.Graph {
 
 // caluBuilder holds graph-construction state for one CALU factorization.
 type caluBuilder struct {
-	g      *sched.Graph
-	opt    *Options
-	m, n   int
-	nb     int // number of block columns
-	fronts []frontier
+	builder
 
 	// Binding state; nil for graph-only builds.
-	a        *matrix.Dense
-	res      *LUResult
 	swaps    [][]int
 	errs     []error
-	maxA     float64 // max|A| of the input, guardrail denominator
-	fellBack []bool  // per iteration: growth guardrail took the GEPP path
+	fellBack []bool // per iteration: growth guardrail took the GEPP path
 
 	// Verify-mode state (nil / zero unless Options.Verify is set and the
-	// builder is bound). wsums holds the pristine input's column sums;
-	// vsums accumulates the finished L columns' sums, one panel per V task
-	// (the V tasks form a chain, so vsums needs no lock). nRecomp is only
-	// touched by finalize tasks, which are transitively ordered.
-	wsums      []float64
+	// builder is bound). vsums accumulates the finished L columns' sums,
+	// one panel per V task (the V tasks form a chain, so vsums needs no
+	// lock). nRecomp is only touched by finalize tasks, which are
+	// transitively ordered.
 	vsums      []float64
 	vprev      *sched.Task // previous panel's V task (chain)
 	vpoison    bool        // a singular panel invalidated the checksum chain
 	nRecomp    int         // panel recomputations spent against MaxPanelRecomputes
 	recomputed []bool      // per iteration: panel recomputed after corruption
 }
-
-// verifyOn reports whether this builder checks ABFT invariants: bound, with
-// Options.Verify set.
-func (b *caluBuilder) verifyOn() bool { return b.a != nil && b.opt.Verify }
 
 // vtol is the absolute checksum tolerance: predicted and actual column sums
 // agree to roughly machine precision times the sum's own magnitude (at most
@@ -233,41 +167,11 @@ func (b *caluBuilder) taintedBefore(k int) bool {
 }
 
 func newCALUBuilder(m, n int, opt *Options) *caluBuilder {
-	nb := (n + opt.BlockSize - 1) / opt.BlockSize
-	return &caluBuilder{
-		g:        sched.NewGraph(),
-		opt:      opt,
-		m:        m,
-		n:        n,
-		nb:       nb,
-		fronts:   make([]frontier, nb),
-		swaps:    make([][]int, nb),
-		errs:     make([]error, nb),
-		fellBack: make([]bool, nb),
-	}
-}
-
-func (b *caluBuilder) bind(a *matrix.Dense, res *LUResult) {
-	b.a = a
-	b.res = res
-}
-
-// dep adds deduplicated dependencies from each task in pres to t.
-func (b *caluBuilder) dep(t *sched.Task, pres ...*sched.Task) {
-	seen := make(map[int]bool, len(pres))
-	for _, p := range pres {
-		if p == nil || seen[p.ID] {
-			continue
-		}
-		seen[p.ID] = true
-		b.g.AddDep(p, t)
-	}
-}
-
-// colRange returns the column range [c0, c1) of block column j.
-func (b *caluBuilder) colRange(j int) (int, int) {
-	c0 := j * b.opt.BlockSize
-	return c0, min(b.n, c0+b.opt.BlockSize)
+	b := &caluBuilder{builder: newBuilder(m, n, opt)}
+	b.swaps = make([][]int, b.nb)
+	b.errs = make([]error, b.nb)
+	b.fellBack = make([]bool, b.nb)
+	return b
 }
 
 func (b *caluBuilder) build() {

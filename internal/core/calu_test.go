@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func caluResidual(t *testing.T, orig *matrix.Dense, opt Options) float64 {
 	t.Helper()
 	a := orig.Clone()
-	res, err := CALU(a, opt)
+	res, err := CALU(context.Background(), a, opt, nil)
 	if err != nil {
 		t.Fatalf("CALU: %v", err)
 	}
@@ -65,7 +66,7 @@ func TestCALUDeterministicAcrossWorkers(t *testing.T) {
 	var ref *matrix.Dense
 	for _, workers := range []int{1, 2, 4, 8} {
 		a := orig.Clone()
-		_, err := CALU(a, Options{BlockSize: 10, PanelThreads: 4, Workers: workers, Lookahead: true})
+		_, err := CALU(context.Background(), a, Options{BlockSize: 10, PanelThreads: 4, Workers: workers, Lookahead: true}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +84,7 @@ func TestCALUTr1MatchesGETRF(t *testing.T) {
 	// block size.
 	orig := matrix.Random(60, 60, 77)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 10, PanelThreads: 1, Workers: 2, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 10, PanelThreads: 1, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestCALUSolve(t *testing.T) {
 	xWant := matrix.Random(n, 3, 6)
 	rhs := blas.Mul(blas.NoTrans, blas.NoTrans, orig, xWant)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 8, PanelThreads: 4, Workers: 4, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 8, PanelThreads: 4, Workers: 4, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestCALUSolve(t *testing.T) {
 
 func TestCALUSingular(t *testing.T) {
 	a := matrix.New(20, 20)
-	_, err := CALU(a, Options{BlockSize: 5, PanelThreads: 2, Workers: 2})
+	_, err := CALU(context.Background(), a, Options{BlockSize: 5, PanelThreads: 2, Workers: 2}, nil)
 	if !errors.Is(err, tslu.ErrSingular) {
 		t.Fatalf("expected ErrSingular, got %v", err)
 	}
@@ -137,7 +138,7 @@ func TestCALUColsPerTaskEquivalent(t *testing.T) {
 	var ref *matrix.Dense
 	for _, cpt := range []int{1, 2, 3, 10} {
 		a := orig.Clone()
-		_, err := CALU(a, Options{BlockSize: 6, PanelThreads: 4, Workers: 3, Lookahead: true, ColsPerTask: cpt})
+		_, err := CALU(context.Background(), a, Options{BlockSize: 6, PanelThreads: 4, Workers: 3, Lookahead: true, ColsPerTask: cpt}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,10 +153,10 @@ func TestCALUColsPerTaskEquivalent(t *testing.T) {
 func TestCALULookaheadOffEquivalent(t *testing.T) {
 	orig := matrix.Random(48, 48, 10)
 	a1, a2 := orig.Clone(), orig.Clone()
-	if _, err := CALU(a1, Options{BlockSize: 8, PanelThreads: 4, Workers: 4, Lookahead: true}); err != nil {
+	if _, err := CALU(context.Background(), a1, Options{BlockSize: 8, PanelThreads: 4, Workers: 4, Lookahead: true}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CALU(a2, Options{BlockSize: 8, PanelThreads: 4, Workers: 4, Lookahead: false}); err != nil {
+	if _, err := CALU(context.Background(), a2, Options{BlockSize: 8, PanelThreads: 4, Workers: 4, Lookahead: false}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !a1.Equal(a2) {
@@ -165,7 +166,7 @@ func TestCALULookaheadOffEquivalent(t *testing.T) {
 
 func TestCALUTraceEvents(t *testing.T) {
 	a := matrix.Random(40, 40, 11)
-	res, err := CALU(a, Options{BlockSize: 10, PanelThreads: 2, Workers: 2, Trace: true, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 10, PanelThreads: 2, Workers: 2, Trace: true, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestBuildCALUGraphMatchesBoundGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := matrix.Random(64, 48, 12)
-	res, err := CALU(a, opt)
+	res, err := CALU(context.Background(), a, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestCALUWilkinsonGrowthTr1(t *testing.T) {
 	n := 16
 	w := matrix.Wilkinson(n)
 	a := w.Clone()
-	if _, err := CALU(a, Options{BlockSize: 4, PanelThreads: 1, Workers: 2, Lookahead: true}); err != nil {
+	if _, err := CALU(context.Background(), a, Options{BlockSize: 4, PanelThreads: 1, Workers: 2, Lookahead: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	g := lapack.GrowthFactor(a, w)
@@ -242,7 +243,7 @@ func TestCALUPropertySolve(t *testing.T) {
 		x := matrix.Random(n, 1, seed+1)
 		rhs := blas.Mul(blas.NoTrans, blas.NoTrans, orig, x)
 		a := orig.Clone()
-		res, err := CALU(a, Options{BlockSize: bs, PanelThreads: tr, Workers: workers, Lookahead: true})
+		res, err := CALU(context.Background(), a, Options{BlockSize: bs, PanelThreads: tr, Workers: workers, Lookahead: true}, nil)
 		if err != nil {
 			return false
 		}
@@ -274,7 +275,7 @@ func TestCALUSolveTranspose(t *testing.T) {
 	xWant := matrix.Random(n, 2, 52)
 	rhs := blas.Mul(blas.Trans, blas.NoTrans, orig, xWant)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 8, PanelThreads: 4, Workers: 2, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 8, PanelThreads: 4, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestCALUApplyPermInverse(t *testing.T) {
 	n := 30
 	orig := matrix.Random(n, n, 53)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 7, PanelThreads: 3, Workers: 2, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 7, PanelThreads: 3, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestCALURCondOrdering(t *testing.T) {
 	rcond := func(a *matrix.Dense) float64 {
 		anorm := a.NormOne()
 		lu := a.Clone()
-		res, err := CALU(lu, opt)
+		res, err := CALU(context.Background(), lu, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +326,7 @@ func TestCALUSolveRefinedImproves(t *testing.T) {
 	xWant := matrix.Random(n, 1, 64)
 	rhs := blas.Mul(blas.NoTrans, blas.NoTrans, orig, xWant)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 16, PanelThreads: 4, Workers: 2, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 16, PanelThreads: 4, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +345,7 @@ func TestCALUWideMatrix(t *testing.T) {
 	m, n := 24, 60
 	orig := matrix.Random(m, n, 81)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 8, PanelThreads: 3, Workers: 2, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 8, PanelThreads: 3, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestCALUInverse(t *testing.T) {
 	n := 48
 	orig := matrix.Random(n, n, 92)
 	a := orig.Clone()
-	res, err := CALU(a, Options{BlockSize: 12, PanelThreads: 4, Workers: 2, Lookahead: true})
+	res, err := CALU(context.Background(), a, Options{BlockSize: 12, PanelThreads: 4, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,12 +377,12 @@ func TestCALUWorkStealingIdenticalResult(t *testing.T) {
 	orig := matrix.Random(72, 72, 93)
 	a1, a2 := orig.Clone(), orig.Clone()
 	base := Options{BlockSize: 12, PanelThreads: 4, Workers: 4, Lookahead: true}
-	if _, err := CALU(a1, base); err != nil {
+	if _, err := CALU(context.Background(), a1, base, nil); err != nil {
 		t.Fatal(err)
 	}
 	ws := base
 	ws.WorkStealing = true
-	if _, err := CALU(a2, ws); err != nil {
+	if _, err := CALU(context.Background(), a2, ws, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !a1.Equal(a2) {
@@ -435,10 +436,10 @@ func TestCALUShapeErrors(t *testing.T) {
 			t.Fatalf("validation panicked: %v", p)
 		}
 	}()
-	if _, err := CALU(nil, Options{}); !errors.Is(err, ErrShape) {
+	if _, err := CALU(context.Background(), nil, Options{}, nil); !errors.Is(err, ErrShape) {
 		t.Fatalf("CALU(nil) = %v, want ErrShape", err)
 	}
-	if _, err := CALU(&matrix.Dense{}, Options{}); !errors.Is(err, ErrShape) {
+	if _, err := CALU(context.Background(), &matrix.Dense{}, Options{}, nil); !errors.Is(err, ErrShape) {
 		t.Fatalf("CALU(empty) = %v, want ErrShape", err)
 	}
 }

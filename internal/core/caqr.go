@@ -110,43 +110,19 @@ func (r *QRResult) LeastSquares(rhs *matrix.Dense) *matrix.Dense {
 // per-panel TSQR reduction trees whose node transformations also drive the
 // trailing-matrix update tasks, dynamically scheduled with look-ahead
 // priorities. It returns an error wrapping ErrShape for malformed inputs.
+// Pool, context and partial-result semantics are those of CALU.
 //
 // Wide matrices (m < n) are handled LAPACK-style: the leading m x m block
 // is factored and Q^T is applied to the remaining columns, leaving the
 // m x n upper-trapezoidal R in place.
-func CAQR(a *matrix.Dense, opt Options) (*QRResult, error) {
-	return CAQRWithPool(a, opt, nil)
-}
-
-// CAQRWithPool is CAQR executed on a caller-owned persistent worker pool,
-// mirroring CALUWithPool: opt.Workers is ignored and the graph is submitted
-// to pool, sharing its workers with any concurrent submissions. A nil pool
-// falls back to a private one-shot pool.
-func CAQRWithPool(a *matrix.Dense, opt Options, pool *sched.Pool) (*QRResult, error) {
-	return CAQRWithPoolCtx(context.Background(), a, opt, pool) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// CAQRWithPoolCtx is CAQRWithPool bound to a context, with the same
-// semantics as CALUWithPoolCtx: cancellation is observed between tasks, the
-// remaining tasks drain unrun, the returned error wraps ctx's error, and a
-// non-nil result accompanying an error is partial and must not be used.
-// The pool and any concurrent submissions are unaffected, and no
-// internal/scratch workspace outlives the task that acquired it.
-func CAQRWithPoolCtx(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*QRResult, error) {
-	if err := validateInput(a); err != nil {
-		return nil, err
-	}
-	var wsums []float64
-	if opt.Verify {
-		wsums = make([]float64, a.Cols)
-	}
-	maxA, err := scanFinite(a, wsums)
-	if err != nil {
-		return nil, err
-	}
-	if a.Rows < a.Cols {
+func CAQR(ctx context.Context, a *matrix.Dense, opt Options, pool *sched.Pool) (*QRResult, error) {
+	if a != nil && a.Rows < a.Cols {
+		// The trailing columns never enter the task graph; scan them here.
+		if _, _, err := checkInput(a, false); err != nil {
+			return nil, err
+		}
 		left := a.View(0, 0, a.Rows, a.Rows)
-		res, err := CAQRWithPoolCtx(ctx, left, opt, pool)
+		res, err := CAQR(ctx, left, opt, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -155,25 +131,14 @@ func CAQRWithPoolCtx(ctx context.Context, a *matrix.Dense, opt Options, pool *sc
 		applyPanelsQT(res, right)
 		return res, nil
 	}
-	if err := opt.normalize(a.Rows, a.Cols); err != nil {
+	p, err := PrepareCAQR(a, opt)
+	if err != nil {
 		return nil, err
 	}
-	res := &QRResult{A: a}
-	b := newCAQRBuilder(a.Rows, a.Cols, &opt)
-	b.bind(a, res)
-	b.maxA = maxA
-	if opt.Verify {
-		b.wsums = wsums
-		b.u = onesVector(a.Rows)
-	}
-	b.build()
-	events, err := runGraph(ctx, b.g, &opt, pool)
-	res.Events = events
-	res.Graph = b.g
-	if err != nil {
-		return res, fmt.Errorf("core: CAQR execution failed: %w", err)
-	}
-	return res, nil
+	events, runErr := runGraph(ctx, p.b.g, p.b.opt, pool)
+	res, err := p.Finish(runErr)
+	res.Events, res.Graph = events, p.b.g
+	return res, err
 }
 
 // BuildCAQRGraph constructs the CAQR task graph without binding numeric
@@ -189,13 +154,8 @@ func BuildCAQRGraph(m, n int, opt Options) *sched.Graph {
 }
 
 type caqrBuilder struct {
-	g      *sched.Graph
-	opt    *Options
-	m, n   int
-	nb     int
-	fronts []frontier
+	builder
 
-	a   *matrix.Dense
 	res *QRResult
 
 	// Verify-mode state. u is the carried checksum vector: it starts as the
@@ -203,15 +163,10 @@ type caqrBuilder struct {
 	// matrix is also applied to it (tasks C), so after panel k it holds
 	// Q_k^T...Q_1^T e and the identity u^T R = e^T A is checkable column by
 	// column. ufront orders the C tasks exactly as the matrix frontier
-	// orders the S tasks. wsums holds the pristine input's column sums.
-	maxA   float64
-	wsums  []float64
+	// orders the S tasks.
 	u      *matrix.Dense
 	ufront frontier
 }
-
-// verifyOn reports whether this builder checks ABFT invariants.
-func (b *caqrBuilder) verifyOn() bool { return b.a != nil && b.opt.Verify }
 
 // vtol is the absolute checksum tolerance for the QR identity. The carried
 // u has unit columns' worth of mass spread over m entries (|u_i| <= sqrt(m))
@@ -234,36 +189,7 @@ func onesVector(m int) *matrix.Dense {
 }
 
 func newCAQRBuilder(m, n int, opt *Options) *caqrBuilder {
-	nb := (n + opt.BlockSize - 1) / opt.BlockSize
-	return &caqrBuilder{
-		g:      sched.NewGraph(),
-		opt:    opt,
-		m:      m,
-		n:      n,
-		nb:     nb,
-		fronts: make([]frontier, nb),
-	}
-}
-
-func (b *caqrBuilder) bind(a *matrix.Dense, res *QRResult) {
-	b.a = a
-	b.res = res
-}
-
-func (b *caqrBuilder) dep(t *sched.Task, pres ...*sched.Task) {
-	seen := make(map[int]bool, len(pres))
-	for _, p := range pres {
-		if p == nil || seen[p.ID] {
-			continue
-		}
-		seen[p.ID] = true
-		b.g.AddDep(p, t)
-	}
-}
-
-func (b *caqrBuilder) colRange(j int) (int, int) {
-	c0 := j * b.opt.BlockSize
-	return c0, min(b.n, c0+b.opt.BlockSize)
+	return &caqrBuilder{builder: newBuilder(m, n, opt)}
 }
 
 func (b *caqrBuilder) build() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -264,7 +265,7 @@ func TestCAQRStructuredTreeMatchesDense(t *testing.T) {
 // itself is covered by TestCAQRShapeErrors.
 func mustCAQR(t testing.TB, a *matrix.Dense, opt Options) *QRResult {
 	t.Helper()
-	res, err := CAQR(a, opt)
+	res, err := CAQR(context.Background(), a, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,10 +280,10 @@ func TestCAQRShapeErrors(t *testing.T) {
 			t.Fatalf("validation panicked: %v", p)
 		}
 	}()
-	if _, err := CAQR(nil, Options{}); !errors.Is(err, ErrShape) {
+	if _, err := CAQR(context.Background(), nil, Options{}, nil); !errors.Is(err, ErrShape) {
 		t.Fatalf("CAQR(nil) = %v, want ErrShape", err)
 	}
-	if _, err := CAQR(&matrix.Dense{}, Options{}); !errors.Is(err, ErrShape) {
+	if _, err := CAQR(context.Background(), &matrix.Dense{}, Options{}, nil); !errors.Is(err, ErrShape) {
 		t.Fatalf("CAQR(empty) = %v, want ErrShape", err)
 	}
 }

@@ -66,7 +66,8 @@ type Options struct {
 	PanelThreads int
 	// Tree is the reduction tree shape (binary or flat height-1).
 	Tree tslu.Tree
-	// Workers is the number of scheduler goroutines (cores). Defaults to 1.
+	// Workers is the number of scheduler goroutines (cores) of the private
+	// pool CALU/CAQR create when given a nil pool. Defaults to 1.
 	Workers int
 	// Lookahead enables the paper's look-ahead-of-1 priority scheme
 	// (column-ordered priorities). Disabled, tasks run iteration by
@@ -76,10 +77,10 @@ type Options struct {
 	// task (the paper's future-work two-level blocking B = ColsPerTask*b).
 	// Zero or one keeps the paper's one-column-per-task decomposition.
 	ColsPerTask int
-	// WorkStealing runs the graph on the Cilk-style work-stealing runner
-	// instead of the paper's centralized priority scheduler. Results are
-	// bit-identical (tasks write disjoint regions); only the schedule
-	// changes. For the scheduling ablation.
+	// WorkStealing runs the graph under the pool's Cilk-style
+	// work-stealing policy instead of the paper's centralized priority
+	// scheduler. Results are bit-identical (tasks write disjoint regions);
+	// only the schedule changes. For the scheduling ablation.
 	WorkStealing bool
 	// GrowthThreshold arms CALU's pivot-growth guardrail: after each
 	// panel's tournament, if the composite factor's max|U| exceeds
@@ -175,17 +176,22 @@ func (o *Options) normalize(m, n int) error {
 	return nil
 }
 
-// validateInput performs the shape checks shared by CALU and CAQR entry
-// points (the wide m < n case is legal there and handled by recursion, so
-// it is not rejected here).
-func validateInput(a *matrix.Dense) error {
+// checkInput is the input prologue shared by every CALU/CAQR entry point:
+// shape checks (the wide m < n case is legal there and handled by
+// recursion, so it is not rejected here), then one finite scan returning
+// max|A| and, when verify is set, the pristine column sums.
+func checkInput(a *matrix.Dense, verify bool) (maxA float64, wsums []float64, err error) {
 	if a == nil {
-		return fmt.Errorf("%w: nil matrix", ErrShape)
+		return 0, nil, fmt.Errorf("%w: nil matrix", ErrShape)
 	}
 	if a.Rows < 1 || a.Cols < 1 {
-		return fmt.Errorf("%w: %dx%d matrix", ErrShape, a.Rows, a.Cols)
+		return 0, nil, fmt.Errorf("%w: %dx%d matrix", ErrShape, a.Rows, a.Cols)
 	}
-	return nil
+	if verify {
+		wsums = make([]float64, a.Cols)
+	}
+	maxA, err = scanFinite(a, wsums)
+	return maxA, wsums, err
 }
 
 // scanFinite walks the matrix once, returning an error wrapping
@@ -229,19 +235,18 @@ func priority(opt *Options, nBlocks, iter, col, bonus int) int {
 }
 
 // runGraph executes a built graph on the given pool, or — when pool is nil
-// — on a private one-shot pool sized by opt.Workers. Task panics are
-// captured per submission and come back as the error; with a shared pool a
-// failed submission leaves the pool usable. Cancellation of ctx is observed
+// — on a private pool sized by opt.Workers, closed before it returns. Task
+// panics are captured per submission and come back as the error; with a
+// shared pool a failed submission leaves the pool usable. Cancellation of ctx is observed
 // between tasks: the submission drains without running its remaining tasks
 // and the returned error wraps ctx's error.
 func runGraph(ctx context.Context, g *sched.Graph, opt *Options, pool *sched.Pool) ([]sched.Event, error) {
-	if pool == nil {
-		pool = sched.NewPool(opt.Workers)
-		defer pool.Close()
-	}
 	so := sched.SubmitOptions{Trace: opt.Trace}
 	if opt.WorkStealing {
 		so.Policy = sched.Stealing
+	}
+	if pool == nil {
+		return sched.Run(ctx, g, opt.Workers, so)
 	}
 	sub, err := pool.SubmitCtx(ctx, g, so)
 	if err != nil {
@@ -261,6 +266,49 @@ const (
 	bonusS        = 70
 	bonusV        = 60 // checksum verification rides the schedule's slack
 )
+
+// builder is the graph-construction scaffolding CALU and CAQR share: the
+// graph, the normalized options, the block-column geometry and the
+// per-column write frontiers, plus the binding state of a numeric build.
+type builder struct {
+	g      *sched.Graph
+	opt    *Options
+	m, n   int
+	nb     int // number of block columns
+	fronts []frontier
+
+	// Binding state; a is nil for graph-only builds.
+	a     *matrix.Dense
+	maxA  float64   // max|A| of the input
+	wsums []float64 // pristine column sums; verify mode only
+}
+
+func newBuilder(m, n int, opt *Options) builder {
+	nb := (n + opt.BlockSize - 1) / opt.BlockSize
+	return builder{g: sched.NewGraph(), opt: opt, m: m, n: n, nb: nb, fronts: make([]frontier, nb)}
+}
+
+// verifyOn reports whether this builder checks ABFT invariants: bound, with
+// Options.Verify set.
+func (b *builder) verifyOn() bool { return b.a != nil && b.opt.Verify }
+
+// dep adds deduplicated dependencies from each task in pres to t.
+func (b *builder) dep(t *sched.Task, pres ...*sched.Task) {
+	seen := make(map[int]bool, len(pres))
+	for _, p := range pres {
+		if p == nil || seen[p.ID] {
+			continue
+		}
+		seen[p.ID] = true
+		b.g.AddDep(p, t)
+	}
+}
+
+// colRange returns the column range [c0, c1) of block column j.
+func (b *builder) colRange(j int) (int, int) {
+	c0 := j * b.opt.BlockSize
+	return c0, min(b.n, c0+b.opt.BlockSize)
+}
 
 // span is a half-open row interval [lo, hi) with the task that last wrote it.
 type span struct {

@@ -10,14 +10,14 @@ import (
 	"repro/internal/sched"
 )
 
-func TestCALUWithPoolCtxPreCancelled(t *testing.T) {
+func TestCALUCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := matrix.Random(60, 30, 1)
 	orig := a.Clone()
-	_, err := CALUWithPoolCtx(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
+	_, err := CALU(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("CALUWithPoolCtx = %v, want context.Canceled", err)
+		t.Fatalf("CALU = %v, want context.Canceled", err)
 	}
 	// Rejected before submission: not a single task ran, a is untouched.
 	if !a.Equal(orig) {
@@ -25,28 +25,28 @@ func TestCALUWithPoolCtxPreCancelled(t *testing.T) {
 	}
 }
 
-func TestCAQRWithPoolCtxDeadlineAlreadyExpired(t *testing.T) {
+func TestCAQRCtxDeadlineAlreadyExpired(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	a := matrix.Random(60, 30, 2)
-	_, err := CAQRWithPoolCtx(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
+	_, err := CAQR(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("CAQRWithPoolCtx = %v, want context.DeadlineExceeded", err)
+		t.Fatalf("CAQR = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestCALUWithPoolCtxWideMatrixPreCancelled covers the wide-matrix (m < n)
+// TestCALUCtxWideMatrixPreCancelled covers the wide-matrix (m < n)
 // recursion path: the context error must propagate out of the inner call.
-func TestCALUWithPoolCtxWideMatrixPreCancelled(t *testing.T) {
+func TestCALUCtxWideMatrixPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	a := matrix.Random(20, 50, 3)
-	res, err := CALUWithPoolCtx(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
+	res, err := CALU(ctx, a, Options{BlockSize: 8, Workers: 2}, nil)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("wide CALUWithPoolCtx = %v, want context.Canceled", err)
+		t.Fatalf("wide CALU = %v, want context.Canceled", err)
 	}
 	if res != nil {
-		t.Fatal("wide CALUWithPoolCtx returned a partial result alongside the error")
+		t.Fatal("wide CALU returned a partial result alongside the error")
 	}
 }
 
@@ -59,16 +59,16 @@ func TestCtxCancelledSharedPoolStaysUsable(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := CALUWithPoolCtx(ctx, matrix.Random(80, 40, 4), opt, pool); !errors.Is(err, context.Canceled) {
+	if _, err := CALU(ctx, matrix.Random(80, 40, 4), opt, pool); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled CALU = %v, want context.Canceled", err)
 	}
 
 	a := matrix.Random(80, 40, 5)
 	want := a.Clone()
-	if _, err := CALU(want, opt); err != nil {
+	if _, err := CALU(context.Background(), want, opt, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CALUWithPool(a, opt, pool); err != nil {
+	if _, err := CALU(context.Background(), a, opt, pool); err != nil {
 		t.Fatalf("pool unusable after cancelled submission: %v", err)
 	}
 	if !a.Equal(want) {

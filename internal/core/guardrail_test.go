@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"math"
 	"strings"
@@ -18,18 +19,21 @@ func TestNonFiniteRejected(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		a := matrix.Random(20, 20, 3)
 		a.Set(13, 7, bad)
-		if _, err := CALU(a, Options{BlockSize: 5}); !errors.Is(err, ErrNonFinite) {
+		if _, err := CALU(context.Background(), a, Options{BlockSize: 5}, nil); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("CALU with %v entry: err = %v, want ErrNonFinite", bad, err)
 		}
-		if _, err := CAQR(a, Options{BlockSize: 5}); !errors.Is(err, ErrNonFinite) {
+		if _, err := CAQR(context.Background(), a, Options{BlockSize: 5}, nil); !errors.Is(err, ErrNonFinite) {
 			t.Errorf("CAQR with %v entry: err = %v, want ErrNonFinite", bad, err)
 		}
 	}
-	// The wide (m < n) recursion path scans before recursing.
+	// The wide (m < n) recursion paths scan before recursing.
 	wide := matrix.Random(10, 30, 4)
 	wide.Set(2, 25, math.NaN()) // in the right block, outside the factored square
-	if _, err := CALU(wide, Options{BlockSize: 5}); !errors.Is(err, ErrNonFinite) {
+	if _, err := CALU(context.Background(), wide.Clone(), Options{BlockSize: 5}, nil); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("wide CALU: err = %v, want ErrNonFinite", err)
+	}
+	if _, err := CAQR(context.Background(), wide.Clone(), Options{BlockSize: 5}, nil); !errors.Is(err, ErrNonFinite) {
+		t.Errorf("wide CAQR: err = %v, want ErrNonFinite", err)
 	}
 }
 
@@ -42,10 +46,10 @@ func TestGuardrailForcedFallbackMatchesGETRF(t *testing.T) {
 	const n, b = 60, 10
 	orig := matrix.Random(n, n, 21)
 	a := orig.Clone()
-	res, err := CALU(a, Options{
+	res, err := CALU(context.Background(), a, Options{
 		BlockSize: b, PanelThreads: 4, Workers: 3, Lookahead: true,
 		GrowthThreshold: 1e-9,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,15 +88,15 @@ func TestGuardrailForcedFallbackMatchesGETRF(t *testing.T) {
 func TestGuardrailQuietOnBenignMatrix(t *testing.T) {
 	orig := matrix.Random(48, 48, 8)
 	plain := orig.Clone()
-	if _, err := CALU(plain, Options{BlockSize: 8, PanelThreads: 4, Workers: 2, Lookahead: true}); err != nil {
+	if _, err := CALU(context.Background(), plain, Options{BlockSize: 8, PanelThreads: 4, Workers: 2, Lookahead: true}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, thr := range []float64{0, 1e6} {
 		a := orig.Clone()
-		res, err := CALU(a, Options{
+		res, err := CALU(context.Background(), a, Options{
 			BlockSize: 8, PanelThreads: 4, Workers: 2, Lookahead: true,
 			GrowthThreshold: thr,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,10 +134,10 @@ func TestGuardrailTripsOnHighGrowth(t *testing.T) {
 	const n, b = 32, 8
 	orig := wilkinson(n)
 	a := orig.Clone()
-	res, err := CALU(a, Options{
+	res, err := CALU(context.Background(), a, Options{
 		BlockSize: b, PanelThreads: 2, Workers: 2, Lookahead: true,
 		GrowthThreshold: 4, Trace: true,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

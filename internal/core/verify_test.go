@@ -8,6 +8,7 @@ package core_test
 // the fault injector's post-run corruption hook installed.
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -55,7 +56,7 @@ func solveCheck(t *testing.T, a *matrix.Dense, opt core.Options, pool *sched.Poo
 		}
 		rhs.Set(i, 0, s)
 	}
-	res, err := core.CALUWithPool(a.Clone(), opt, pool)
+	res, err := core.CALU(context.Background(), a.Clone(), opt, pool)
 	if err != nil {
 		t.Fatalf("CALU: %v", err)
 	}
@@ -77,11 +78,11 @@ func TestCALUVerifyCleanBitIdentical(t *testing.T) {
 	opt := verifyOpts(60)
 	plain := opt
 	plain.Verify = false
-	r1, err := core.CALU(a.Clone(), plain)
+	r1, err := core.CALU(context.Background(), a.Clone(), plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.CALU(a.Clone(), opt)
+	r2, err := core.CALU(context.Background(), a.Clone(), opt, nil)
 	if err != nil {
 		t.Fatalf("verify mode flagged a clean run: %v", err)
 	}
@@ -105,11 +106,11 @@ func TestCAQRVerifyCleanBitIdentical(t *testing.T) {
 	opt := verifyOpts(48)
 	plain := opt
 	plain.Verify = false
-	r1, err := core.CAQR(a.Clone(), plain)
+	r1, err := core.CAQR(context.Background(), a.Clone(), plain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := core.CAQR(a.Clone(), opt)
+	r2, err := core.CAQR(context.Background(), a.Clone(), opt, nil)
 	if err != nil {
 		t.Fatalf("verify mode flagged a clean run: %v", err)
 	}
@@ -128,7 +129,7 @@ func TestCALUVerifyWideClean(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := randDense(rng, 40, 70)
 	opt := verifyOpts(40)
-	if _, err := core.CALU(a, opt); err != nil {
+	if _, err := core.CALU(context.Background(), a, opt, nil); err != nil {
 		t.Fatalf("wide verify run failed: %v", err)
 	}
 }
@@ -187,7 +188,7 @@ func TestCALUVerifyEscalatesUpdateCorruption(t *testing.T) {
 	inj := fault.New(2, fault.Rule{Kind: fault.Corrupt, Match: "S k=0 i=0 j=2", Rate: 1, Count: 1})
 	pool.SetPostInterceptor(inj.InterceptPost)
 
-	_, err := core.CALUWithPool(a.Clone(), opt, pool)
+	_, err := core.CALU(context.Background(), a.Clone(), opt, pool)
 	if got := inj.Injected(fault.Corrupt); got != 1 {
 		t.Fatalf("injected %d corruptions, want 1", got)
 	}
@@ -207,7 +208,7 @@ func TestCAQRVerifyEscalatesCorruption(t *testing.T) {
 		pool := sched.NewPool(4)
 		inj := fault.New(3, fault.Rule{Kind: fault.Corrupt, Match: match, Rate: 1, Count: 1})
 		pool.SetPostInterceptor(inj.InterceptPost)
-		_, err := core.CAQRWithPool(a.Clone(), opt, pool)
+		_, err := core.CAQR(context.Background(), a.Clone(), opt, pool)
 		pool.Close()
 		if got := inj.Injected(fault.Corrupt); got != 1 {
 			t.Fatalf("%s: injected %d corruptions, want 1", match, got)
@@ -231,7 +232,7 @@ func TestCALUVerifySingularNotMasked(t *testing.T) {
 		clear(a.Col(j))
 	}
 	opt := verifyOpts(48)
-	_, err := core.CALU(a, opt)
+	_, err := core.CALU(context.Background(), a, opt, nil)
 	if !errors.Is(err, core.ErrSingular) {
 		t.Fatalf("err = %v, want ErrSingular", err)
 	}
@@ -253,7 +254,7 @@ func TestCALUVerifyBudgetExhausted(t *testing.T) {
 	inj := fault.New(1, fault.Rule{Kind: fault.Corrupt, Match: "P k=1 leaf=0", Rate: 1, Count: 1, Perturb: 1e6})
 	pool.SetPostInterceptor(inj.InterceptPost)
 
-	_, err := core.CALUWithPool(a.Clone(), opt, pool)
+	_, err := core.CALU(context.Background(), a.Clone(), opt, pool)
 	if !errors.Is(err, core.ErrCorrupted) {
 		t.Fatalf("err = %v, want ErrCorrupted", err)
 	}

@@ -50,7 +50,8 @@ func FromColMajor(r, c, stride int, data []float64) *Dense {
 	if stride < r || (stride < 1 && c > 0) {
 		panic(fmt.Sprintf("matrix: stride %d < rows %d", stride, r))
 	}
-	if c > 0 && len(data) < stride*(c-1)+r {
+	// len(data) >= stride*(c-1)+r, rearranged so the product cannot overflow.
+	if c > 0 && (len(data) < r || (len(data)-r)/stride < c-1) {
 		panic(fmt.Sprintf("matrix: data length %d too short for %dx%d stride %d", len(data), r, c, stride))
 	}
 	return &Dense{Rows: r, Cols: c, Stride: stride, Data: data}

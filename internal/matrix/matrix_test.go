@@ -2,6 +2,7 @@ package matrix
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,18 @@ func TestFromColMajorShortPanics(t *testing.T) {
 		}
 	}()
 	FromColMajor(3, 2, 3, make([]float64, 5))
+}
+
+// TestFromColMajorOverflowPanics uses dimensions whose stride*(c-1)+r
+// wraps to zero in int arithmetic: the length check must still fire.
+func TestFromColMajorOverflowPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	const big = 1 << (bits.UintSize / 2)
+	FromColMajor(big, big, big, nil)
 }
 
 func TestViewAliases(t *testing.T) {

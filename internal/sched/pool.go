@@ -83,16 +83,16 @@ type SubmitOptions struct {
 	Seed int64
 }
 
-// Pool is a persistent executor: a fixed set of worker goroutines that
-// lives for the process (or service) lifetime and accepts concurrent graph
-// submissions. Each submission keeps its own ready set, priority space,
-// trace and failure state, so several factorizations can interleave on the
-// same cores; a panicking task fails only its own submission and leaves the
-// pool usable.
+// Pool is the package's executor: a fixed set of worker goroutines that
+// accepts concurrent graph submissions. Each submission keeps its own ready
+// set, priority space, trace and failure state, so several factorizations
+// can interleave on the same cores; a panicking task fails only its own
+// submission and leaves the pool usable.
 //
-// Runner and StealingRunner are thin one-shot shims over a private Pool;
-// long-lived callers (factor.Engine) hold one Pool and amortize worker
-// startup across many factorizations.
+// Every task graph in the module runs on a Pool. Long-lived callers
+// (factor.Engine) hold one and amortize worker startup across many
+// factorizations; one-off callers (core.CALU with a nil pool, tiled.GETRF)
+// go through Run, which creates one, submits once and closes it.
 type Pool struct {
 	workers int
 
@@ -257,6 +257,37 @@ func (p *Pool) CloseWithTimeout(d time.Duration) error {
 	return fmt.Errorf("sched: pool close timed out after %v: %w", d, context.DeadlineExceeded)
 }
 
+// Event records one task execution for tracing (paper Figs. 3-4).
+type Event struct {
+	TaskID int
+	Worker int
+	Start  time.Duration // relative to the run start
+	End    time.Duration
+}
+
+// taskHeap is a max-heap over task priority; ties break toward lower ID,
+// which keeps execution order deterministic for equal priorities and favors
+// earlier-created (earlier-iteration) tasks as the paper's look-ahead does.
+type taskHeap []*Task
+
+func (h taskHeap) Len() int { return len(h) }
+func (h taskHeap) Less(i, j int) bool {
+	if h[i].Priority != h[j].Priority {
+		return h[i].Priority > h[j].Priority
+	}
+	return h[i].ID < h[j].ID
+}
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*Task)) }
+func (h *taskHeap) Pop() any {
+	old := *h
+	n := len(old)
+	t := old[n-1]
+	old[n-1] = nil
+	*h = old[:n-1]
+	return t
+}
+
 // Submission is one graph handed to a Pool: its own ready set, trace and
 // failure state. Wait blocks until every task has been accounted for.
 type Submission struct {
@@ -273,6 +304,19 @@ type Submission struct {
 	pending int
 	failed  error
 	events  []Event
+}
+
+// Run executes g on a private pool of the given number of workers and waits
+// for it, closing the pool before it returns: NewPool, SubmitCtx, Wait and
+// Close in one call.
+func Run(ctx context.Context, g *Graph, workers int, opt SubmitOptions) ([]Event, error) {
+	p := NewPool(workers)
+	defer p.Close()
+	sub, err := p.SubmitCtx(ctx, g, opt)
+	if err != nil {
+		return nil, err
+	}
+	return sub.Wait()
 }
 
 // Submit validates g and enqueues it for execution. It returns immediately;
@@ -475,6 +519,45 @@ func (p *Pool) removeLocked(s *Submission) {
 			return
 		}
 	}
+}
+
+// runTask executes one task, converting a panic into a returned error. A
+// panic that already carries an error — the library packages' typed
+// preconditions, e.g. panic(fmt.Errorf("%w: ...", blas.ErrShape, ...)) —
+// is wrapped with %w so errors.Is/As keep matching the sentinel through
+// Submission.Wait.
+//
+// When the pool carries an Interceptor it runs first, under the same
+// recover barrier: an interceptor error fails the task without running it,
+// and an interceptor panic is captured like a task panic. A PostInterceptor
+// runs after Run returns, still under the barrier, and only for tasks that
+// declare an output buffer — it sees the task's output before any successor
+// is enqueued, which is what makes injected output corruption a
+// deterministic dataflow event rather than a race.
+func runTask(t *Task, ic Interceptor, post PostInterceptor, worker int) (captured error) {
+	// calint:ignore hotpath-alloc -- the recover barrier is one closure per task, amortized by the task body it protects
+	defer func() {
+		if p := recover(); p != nil {
+			if err, ok := p.(error); ok {
+				// calint:ignore hotpath-alloc -- cold path: runs only after a task panicked
+				captured = fmt.Errorf("sched: task %d (%s) panicked: %w", t.ID, t.Label, err)
+			} else {
+				// calint:ignore hotpath-alloc -- cold path: runs only after a task panicked
+				captured = fmt.Errorf("sched: task %d (%s) panicked: %v", t.ID, t.Label, p)
+			}
+		}
+	}()
+	if ic != nil {
+		if err := ic(TaskInfo{Label: t.Label, Kind: t.Kind, Worker: worker}); err != nil {
+			// calint:ignore hotpath-alloc -- cold path: runs only when the interceptor rejects the task
+			return fmt.Errorf("sched: task %d (%s) failed: %w", t.ID, t.Label, err)
+		}
+	}
+	t.Run()
+	if post != nil && t.Out != nil {
+		post(TaskInfo{Label: t.Label, Kind: t.Kind, Worker: worker, Output: t.Out})
+	}
+	return nil
 }
 
 func (p *Pool) worker(id int) {

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"context"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,7 +81,9 @@ func TestRunnerRespectsDependencies(t *testing.T) {
 		g.AddDep(a, c)
 		g.AddDep(b, d)
 		g.AddDep(c, d)
-		(&Runner{Workers: workers}).Run(g)
+		if _, err := Run(context.Background(), g, workers, SubmitOptions{}); err != nil {
+			t.Fatal(err)
+		}
 		if len(order) != 4 || order[0] != 0 || order[3] != 3 {
 			t.Fatalf("workers=%d order=%v", workers, order)
 		}
@@ -96,7 +100,9 @@ func TestRunnerPriorityOrderSequential(t *testing.T) {
 	g.Add(&Task{Run: rec(1), Priority: 5})
 	g.Add(&Task{Run: rec(2), Priority: 5})
 	g.Add(&Task{Run: rec(3), Priority: 9})
-	(&Runner{Workers: 1}).Run(g)
+	if _, err := Run(context.Background(), g, 1, SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	want := []int{3, 1, 2, 0}
 	for i := range want {
 		if order[i] != want[i] {
@@ -120,7 +126,9 @@ func TestRunnerAllTasksRunOnce(t *testing.T) {
 			g.AddDep(tasks[i-7], tasks[i])
 		}
 	}
-	(&Runner{Workers: 4}).Run(g)
+	if _, err := Run(context.Background(), g, 4, SubmitOptions{}); err != nil {
+		t.Fatal(err)
+	}
 	if count.Load() != n {
 		t.Fatalf("ran %d tasks, want %d", count.Load(), n)
 	}
@@ -131,7 +139,10 @@ func TestRunnerTraceEvents(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		g.Add(&Task{Kind: KindS, Run: func() {}})
 	}
-	events := (&Runner{Workers: 3, Trace: true}).Run(g)
+	events, err := Run(context.Background(), g, 3, SubmitOptions{Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(events) != 20 {
 		t.Fatalf("got %d events", len(events))
 	}
@@ -151,23 +162,26 @@ func TestRunnerTraceEvents(t *testing.T) {
 }
 
 func TestRunnerEmptyGraph(t *testing.T) {
-	if ev := (&Runner{Workers: 2, Trace: true}).Run(NewGraph()); ev != nil {
-		t.Fatalf("expected nil events, got %v", ev)
+	if ev, err := Run(context.Background(), NewGraph(), 2, SubmitOptions{Trace: true}); ev != nil || err != nil {
+		t.Fatalf("expected nil events and error, got %v, %v", ev, err)
 	}
 }
 
-func TestRunnerInvalidGraphPanics(t *testing.T) {
+// TestRunnerInvalidGraphRejected checks that a cyclic graph is refused at
+// submission: the error comes back and no task runs.
+func TestRunnerInvalidGraphRejected(t *testing.T) {
 	g := NewGraph()
-	a := g.Add(&Task{})
-	b := g.Add(&Task{})
+	var ran atomic.Int64
+	a := g.Add(&Task{Run: func() { ran.Add(1) }})
+	b := g.Add(&Task{Run: func() { ran.Add(1) }})
 	g.AddDep(a, b)
 	g.AddDep(b, a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&Runner{Workers: 1}).Run(g)
+	if _, err := Run(context.Background(), g, 1, SubmitOptions{}); err == nil {
+		t.Fatal("cyclic graph accepted")
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("%d tasks of a rejected graph ran", ran.Load())
+	}
 }
 
 func TestCriticalPath(t *testing.T) {
@@ -193,9 +207,10 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// Property: for random layered DAGs, every topological constraint holds in
-// the observed completion order.
-func TestRunnerTopologicalProperty(t *testing.T) {
+// topologicalProperty checks, for random layered DAGs, that every
+// topological constraint holds in the observed completion order under the
+// given policy.
+func topologicalProperty(t *testing.T, policy Policy) {
 	f := func(seed int64, workers uint8) bool {
 		w := int(workers)%6 + 1
 		g := NewGraph()
@@ -215,7 +230,9 @@ func TestRunnerTopologicalProperty(t *testing.T) {
 			g.AddDep(tasks[j], tasks[i])
 			edges = append(edges, [2]int{j, i})
 		}
-		(&Runner{Workers: w}).Run(g)
+		if _, err := Run(context.Background(), g, w, SubmitOptions{Policy: policy, Seed: seed}); err != nil {
+			return false
+		}
 		for _, e := range edges {
 			if pos[e[0]] >= pos[e[1]] {
 				return false
@@ -228,6 +245,10 @@ func TestRunnerTopologicalProperty(t *testing.T) {
 	}
 }
 
+func TestRunnerTopologicalProperty(t *testing.T) { topologicalProperty(t, Priority) }
+
+// TestRunnerTaskPanicPropagates checks that a task panic reaches the caller
+// as Wait's error, wrapping the panic value, instead of crashing a worker.
 func TestRunnerTaskPanicPropagates(t *testing.T) {
 	g := NewGraph()
 	var ran atomic.Int64
@@ -240,16 +261,10 @@ func TestRunnerTaskPanicPropagates(t *testing.T) {
 			ran.Add(1)
 		}})
 	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("expected the task panic to reach the caller")
-		}
-		if msg, ok := p.(error); !ok || msg == nil {
-			t.Fatalf("panic payload %v (%T) not the wrapped error", p, p)
-		}
-	}()
-	(&Runner{Workers: 4}).Run(g)
+	_, err := Run(context.Background(), g, 4, SubmitOptions{})
+	if err == nil || !strings.Contains(err.Error(), "numeric bug") {
+		t.Fatalf("Wait error %v does not carry the task panic", err)
+	}
 }
 
 func TestRunnerPanicStopsRemainingWork(t *testing.T) {
@@ -260,16 +275,15 @@ func TestRunnerPanicStopsRemainingWork(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		g.Add(&Task{Run: func() { ran.Add(1) }})
 	}
-	func() {
-		defer func() { recover() }()
-		(&Runner{Workers: 1}).Run(g)
-	}()
+	if _, err := Run(context.Background(), g, 1, SubmitOptions{}); err == nil {
+		t.Fatal("panicking submission reported no error")
+	}
 	if ran.Load() != 0 {
 		t.Fatalf("%d tasks ran after the panic", ran.Load())
 	}
 }
 
-func TestStealingRunnerAllTasksOnce(t *testing.T) {
+func TestPoolStealingAllTasksOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		const n = 300
 		g := NewGraph()
@@ -281,74 +295,45 @@ func TestStealingRunnerAllTasksOnce(t *testing.T) {
 		for i := 7; i < n; i++ {
 			g.AddDep(tasks[i-7], tasks[i])
 		}
-		count.Store(0)
-		(&StealingRunner{Workers: workers}).Run(g)
+		if _, err := Run(context.Background(), g, workers, SubmitOptions{Policy: Stealing}); err != nil {
+			t.Fatal(err)
+		}
 		if count.Load() != n {
 			t.Fatalf("workers=%d: ran %d of %d", workers, count.Load(), n)
 		}
 	}
 }
 
-func TestStealingRunnerTopologicalProperty(t *testing.T) {
-	f := func(seed int64, workers uint8) bool {
-		w := int(workers)%6 + 1
-		g := NewGraph()
-		const n = 60
-		tasks := make([]*Task, n)
-		pos := make([]int64, n)
-		var ctr atomic.Int64
-		for i := 0; i < n; i++ {
-			i := i
-			tasks[i] = g.Add(&Task{Run: func() { pos[i] = ctr.Add(1) }})
-		}
-		s := uint64(seed)
-		edges := [][2]int{}
-		for i := 1; i < n; i++ {
-			s = s*6364136223846793005 + 1442695040888963407
-			j := int(s % uint64(i))
-			g.AddDep(tasks[j], tasks[i])
-			edges = append(edges, [2]int{j, i})
-		}
-		(&StealingRunner{Workers: w, Seed: seed}).Run(g)
-		for _, e := range edges {
-			if pos[e[0]] >= pos[e[1]] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
+func TestPoolStealingTopologicalProperty(t *testing.T) { topologicalProperty(t, Stealing) }
 
-func TestStealingRunnerTrace(t *testing.T) {
+func TestPoolStealingTrace(t *testing.T) {
 	g := NewGraph()
 	for i := 0; i < 25; i++ {
 		g.Add(&Task{Run: func() {}})
 	}
-	events := (&StealingRunner{Workers: 3, Trace: true}).Run(g)
+	events, err := Run(context.Background(), g, 3, SubmitOptions{Trace: true, Policy: Stealing})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(events) != 25 {
 		t.Fatalf("%d events", len(events))
 	}
 }
 
-func TestStealingRunnerPanicPropagates(t *testing.T) {
+func TestPoolStealingPanicPropagates(t *testing.T) {
 	g := NewGraph()
 	g.Add(&Task{Run: func() { panic("steal boom") }})
 	for i := 0; i < 10; i++ {
 		g.Add(&Task{Run: func() {}})
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	(&StealingRunner{Workers: 3}).Run(g)
+	_, err := Run(context.Background(), g, 3, SubmitOptions{Policy: Stealing})
+	if err == nil || !strings.Contains(err.Error(), "steal boom") {
+		t.Fatalf("Wait error %v does not carry the task panic", err)
+	}
 }
 
-func TestStealingRunnerEmptyGraph(t *testing.T) {
-	if ev := (&StealingRunner{Workers: 2, Trace: true}).Run(NewGraph()); ev != nil {
-		t.Fatalf("events %v", ev)
+func TestPoolStealingEmptyGraph(t *testing.T) {
+	if ev, err := Run(context.Background(), NewGraph(), 2, SubmitOptions{Trace: true, Policy: Stealing}); ev != nil || err != nil {
+		t.Fatalf("expected nil events and error, got %v, %v", ev, err)
 	}
 }

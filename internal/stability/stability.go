@@ -8,6 +8,7 @@
 package stability
 
 import (
+	"context"
 	"math"
 
 	"repro/internal/blas"
@@ -42,9 +43,9 @@ func MeasureGEPP(a *matrix.Dense) LUReport {
 
 // MeasureCALU factors a copy of a with CALU (tournament pivoting) and
 // reports its stability metrics.
-func MeasureCALU(a *matrix.Dense, opt core.Options) (LUReport, error) {
+func MeasureCALU(ctx context.Context, a *matrix.Dense, opt core.Options) (LUReport, error) {
 	lu := a.Clone()
-	res, err := core.CALU(lu, opt)
+	res, err := core.CALU(ctx, lu, opt, nil)
 	if err != nil {
 		return LUReport{}, err
 	}

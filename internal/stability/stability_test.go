@@ -1,6 +1,7 @@
 package stability
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestCALUAsStableAsGEPP(t *testing.T) {
 	opt := core.Options{BlockSize: 16, PanelThreads: 4, Workers: 4, Lookahead: true}
 	for name, a := range cases {
 		ref := MeasureGEPP(a)
-		got, err := MeasureCALU(a, opt)
+		got, err := MeasureCALU(context.Background(), a, opt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -74,7 +75,7 @@ func TestSolveErrorCALUAndTiled(t *testing.T) {
 	a := matrix.DiagonallyDominant(96, 9)
 	caluErr := SolveError(a, 10, func(rhs *matrix.Dense) error {
 		lu := a.Clone()
-		res, err := core.CALU(lu, core.Options{BlockSize: 16, PanelThreads: 4, Workers: 2, Lookahead: true})
+		res, err := core.CALU(context.Background(), lu, core.Options{BlockSize: 16, PanelThreads: 4, Workers: 2, Lookahead: true}, nil)
 		if err != nil {
 			return err
 		}
@@ -82,7 +83,7 @@ func TestSolveErrorCALUAndTiled(t *testing.T) {
 		return nil
 	})
 	tiledErr := SolveError(a, 10, func(rhs *matrix.Dense) error {
-		lu, err := tiled.GETRF(a.Clone(), tiled.Options{TileSize: 16, Workers: 2})
+		lu, err := tiled.GETRF(context.Background(), a.Clone(), tiled.Options{TileSize: 16, Workers: 2})
 		if err != nil {
 			return err
 		}
@@ -103,11 +104,11 @@ func TestSolveErrorCALUAndTiled(t *testing.T) {
 func TestIncrementalPivotingGrowthComparison(t *testing.T) {
 	a := matrix.Graded(96, 96, 1.35, 11)
 	ref := MeasureGEPP(a)
-	calu, err := MeasureCALU(a, core.Options{BlockSize: 16, PanelThreads: 4, Workers: 2, Lookahead: true})
+	calu, err := MeasureCALU(context.Background(), a, core.Options{BlockSize: 16, PanelThreads: 4, Workers: 2, Lookahead: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lu, err := tiled.GETRF(a.Clone(), tiled.Options{TileSize: 16, Workers: 2})
+	lu, err := tiled.GETRF(context.Background(), a.Clone(), tiled.Options{TileSize: 16, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestGrowthExceeded(t *testing.T) {
 
 func TestMeasureQRSanity(t *testing.T) {
 	a := matrix.Random(80, 20, 12)
-	res, err := core.CAQR(a.Clone(), core.Options{BlockSize: 5, PanelThreads: 4, Workers: 2, Lookahead: true})
+	res, err := core.CAQR(context.Background(), a.Clone(), core.Options{BlockSize: 5, PanelThreads: 4, Workers: 2, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package tiled
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -54,15 +55,20 @@ type LU struct {
 }
 
 // GETRF computes the tiled LU factorization with incremental pivoting of
-// the m x n matrix a (m >= n), in place — the PLASMA_dgetrf stand-in.
-func GETRF(a *matrix.Dense, opt Options) (*LU, error) {
+// the m x n matrix a (m >= n), in place — the PLASMA_dgetrf stand-in. The
+// task graph runs on a private sched.Pool of opt.Workers goroutines, the
+// executor core.CALU runs on. A task failure or cancellation of ctx comes
+// back as the error, with a partial result that must not be used.
+func GETRF(ctx context.Context, a *matrix.Dense, opt Options) (*LU, error) {
 	opt.normalize(a.Cols)
 	panicIf(a.Rows < a.Cols, "tiled: GETRF needs m >= n, got %dx%d", a.Rows, a.Cols)
 	res := &LU{A: a, g: newGrid(a.Rows, a.Cols, opt.TileSize)}
 	g := buildLUGraph(res.g, res)
-	runner := sched.Runner{Workers: opt.Workers, Trace: opt.Trace}
-	res.Events = runner.Run(g)
-	res.Graph = g
+	events, err := sched.Run(ctx, g, opt.Workers, sched.SubmitOptions{Trace: opt.Trace})
+	res.Events, res.Graph = events, g
+	if err != nil {
+		return res, fmt.Errorf("tiled: GETRF execution failed: %w", err)
+	}
 	return res, res.err
 }
 

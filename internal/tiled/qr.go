@@ -1,6 +1,9 @@
 package tiled
 
 import (
+	"context"
+	"fmt"
+
 	"repro/internal/blas"
 	"repro/internal/lapack"
 	"repro/internal/matrix"
@@ -35,16 +38,19 @@ type QR struct {
 }
 
 // GEQRF computes the tiled QR factorization of the m x n matrix a (m >= n),
-// in place — the PLASMA_dgeqrf stand-in.
-func GEQRF(a *matrix.Dense, opt Options) *QR {
+// in place — the PLASMA_dgeqrf stand-in. Executor, context and error
+// semantics are those of GETRF.
+func GEQRF(ctx context.Context, a *matrix.Dense, opt Options) (*QR, error) {
 	opt.normalize(a.Cols)
 	panicIf(a.Rows < a.Cols, "tiled: GEQRF needs m >= n, got %dx%d", a.Rows, a.Cols)
 	res := &QR{A: a, g: newGrid(a.Rows, a.Cols, opt.TileSize)}
 	g := buildQRGraph(res.g, res)
-	runner := sched.Runner{Workers: opt.Workers, Trace: opt.Trace}
-	res.Events = runner.Run(g)
-	res.Graph = g
-	return res
+	events, err := sched.Run(ctx, g, opt.Workers, sched.SubmitOptions{Trace: opt.Trace})
+	res.Events, res.Graph = events, g
+	if err != nil {
+		return res, fmt.Errorf("tiled: GEQRF execution failed: %w", err)
+	}
+	return res, nil
 }
 
 // BuildGEQRFGraph constructs the tiled-QR task graph unbound for

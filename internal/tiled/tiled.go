@@ -35,7 +35,8 @@ type Options struct {
 	// TileSize is the tile edge t. PLASMA's default is around 200; the
 	// paper's comparisons run it with its default parameters.
 	TileSize int
-	// Workers is the number of scheduler goroutines.
+	// Workers is the number of scheduler goroutines of the pool
+	// GETRF/GEQRF run on.
 	Workers int
 	// Trace records per-task execution events.
 	Trace bool

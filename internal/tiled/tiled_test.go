@@ -1,6 +1,7 @@
 package tiled
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -29,7 +30,7 @@ func TestTiledLUSolve(t *testing.T) {
 		orig := matrix.Random(tc.n, tc.n, int64(tc.n*31+tc.tile))
 		xWant := matrix.Random(tc.n, 2, int64(tc.n))
 		rhs := blas.Mul(blas.NoTrans, blas.NoTrans, orig, xWant)
-		lu, err := GETRF(orig.Clone(), Options{TileSize: tc.tile, Workers: tc.workers})
+		lu, err := GETRF(context.Background(), orig.Clone(), Options{TileSize: tc.tile, Workers: tc.workers})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
@@ -45,7 +46,7 @@ func TestTiledLUDeterministicAcrossWorkers(t *testing.T) {
 	var ref *matrix.Dense
 	for _, w := range []int{1, 2, 4} {
 		a := orig.Clone()
-		if _, err := GETRF(a, Options{TileSize: 10, Workers: w}); err != nil {
+		if _, err := GETRF(context.Background(), a, Options{TileSize: 10, Workers: w}); err != nil {
 			t.Fatal(err)
 		}
 		if ref == nil {
@@ -60,7 +61,7 @@ func TestTiledLUUpperTriangularU(t *testing.T) {
 	// After incremental pivoting, the upper triangle is a genuine U whose
 	// diagonal is nonzero for a well-conditioned matrix.
 	a := matrix.DiagonallyDominant(32, 5)
-	lu, err := GETRF(a, Options{TileSize: 8, Workers: 2})
+	lu, err := GETRF(context.Background(), a, Options{TileSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestTiledLUUpperTriangularU(t *testing.T) {
 
 func TestTiledLUSingular(t *testing.T) {
 	a := matrix.New(16, 16)
-	if _, err := GETRF(a, Options{TileSize: 4, Workers: 2}); !errors.Is(err, ErrSingular) {
+	if _, err := GETRF(context.Background(), a, Options{TileSize: 4, Workers: 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("expected ErrSingular, got %v", err)
 	}
 }
@@ -83,7 +84,7 @@ func TestTiledLURectangular(t *testing.T) {
 	// reconstruction is hard without a global P, so check that factoring
 	// completes and the panel chain ran (ops recorded).
 	a := matrix.Random(50, 20, 7)
-	lu, err := GETRF(a, Options{TileSize: 8, Workers: 2})
+	lu, err := GETRF(context.Background(), a, Options{TileSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,10 @@ func TestTiledQRFactors(t *testing.T) {
 		{24, 24, 8, 1}, {24, 24, 8, 4}, {40, 16, 8, 2}, {30, 10, 7, 3}, {64, 8, 8, 4},
 	} {
 		orig := matrix.Random(tc.m, tc.n, int64(tc.m*13+tc.tile))
-		qr := GEQRF(orig.Clone(), Options{TileSize: tc.tile, Workers: tc.workers})
+		qr, err := GEQRF(context.Background(), orig.Clone(), Options{TileSize: tc.tile, Workers: tc.workers})
+		if err != nil {
+			t.Fatalf("%+v: %v", tc, err)
+		}
 		q := qr.ExplicitQ()
 		r := qr.R()
 		qtq := blas.Mul(blas.Trans, blas.NoTrans, q, q)
@@ -125,7 +129,10 @@ func TestTiledQRLeastSquares(t *testing.T) {
 	a := matrix.Random(m, n, 17)
 	xWant := matrix.Random(n, 1, 18)
 	rhs := blas.Mul(blas.NoTrans, blas.NoTrans, a, xWant)
-	qr := GEQRF(a.Clone(), Options{TileSize: 8, Workers: 3})
+	qr, err := GEQRF(context.Background(), a.Clone(), Options{TileSize: 8, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	x := qr.LeastSquares(rhs)
 	if !x.EqualApprox(xWant, 1e-8) {
 		t.Fatal("wrong least-squares solution")
@@ -137,7 +144,9 @@ func TestTiledQRDeterministicAcrossWorkers(t *testing.T) {
 	var ref *matrix.Dense
 	for _, w := range []int{1, 2, 4} {
 		a := orig.Clone()
-		GEQRF(a, Options{TileSize: 8, Workers: w})
+		if _, err := GEQRF(context.Background(), a, Options{TileSize: 8, Workers: w}); err != nil {
+			t.Fatal(err)
+		}
 		if ref == nil {
 			ref = a
 		} else if !a.Equal(ref) {
@@ -192,7 +201,10 @@ func TestTiledQRGramProperty(t *testing.T) {
 		tile := int(tileRaw)%10 + 2
 		workers := int(wRaw)%4 + 1
 		orig := matrix.Random(m, n, seed)
-		qr := GEQRF(orig.Clone(), Options{TileSize: tile, Workers: workers})
+		qr, err := GEQRF(context.Background(), orig.Clone(), Options{TileSize: tile, Workers: workers})
+		if err != nil {
+			return false
+		}
 		r := qr.R()
 		ata := blas.Mul(blas.Trans, blas.NoTrans, orig, orig)
 		rtr := blas.Mul(blas.Trans, blas.NoTrans, r, r)
@@ -211,7 +223,7 @@ func TestTiledLUSolveProperty(t *testing.T) {
 		orig := matrix.DiagonallyDominant(n, seed)
 		x := matrix.Random(n, 1, seed+1)
 		rhs := blas.Mul(blas.NoTrans, blas.NoTrans, orig, x)
-		lu, err := GETRF(orig.Clone(), Options{TileSize: tile, Workers: workers})
+		lu, err := GETRF(context.Background(), orig.Clone(), Options{TileSize: tile, Workers: workers})
 		if err != nil {
 			return false
 		}
@@ -228,7 +240,7 @@ func TestTiledLUSolveProperty(t *testing.T) {
 // DAG-friendly panels, and part of why CALU's ca-pivoting matters.
 func TestTiledLUGrowthFinite(t *testing.T) {
 	orig := matrix.Random(64, 64, 23)
-	lu, err := GETRF(orig.Clone(), Options{TileSize: 8, Workers: 2})
+	lu, err := GETRF(context.Background(), orig.Clone(), Options{TileSize: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +261,7 @@ func TestTiledGraphBoundMatchesUnbound(t *testing.T) {
 	// The graph-only builders must produce the same shape as the bound runs.
 	opt := Options{TileSize: 8, Workers: 2}
 	a := matrix.Random(40, 24, 41)
-	lu, err := GETRF(a.Clone(), opt)
+	lu, err := GETRF(context.Background(), a.Clone(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,10 +270,41 @@ func TestTiledGraphBoundMatchesUnbound(t *testing.T) {
 		t.Fatalf("LU graphs differ: %d/%d vs %d/%d",
 			lu.Graph.Len(), lu.Graph.Edges(), gLU.Len(), gLU.Edges())
 	}
-	qr := GEQRF(a.Clone(), opt)
+	qr, err := GEQRF(context.Background(), a.Clone(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gQR := BuildGEQRFGraph(40, 24, opt)
 	if qr.Graph.Len() != gQR.Len() || qr.Graph.Edges() != gQR.Edges() {
 		t.Fatalf("QR graphs differ: %d/%d vs %d/%d",
 			qr.Graph.Len(), qr.Graph.Edges(), gQR.Len(), gQR.Edges())
+	}
+}
+
+// TestTiledOnPool runs both factorizations on their pool executor: the
+// factors do not depend on the worker count, and a cancelled context comes
+// back as an error, not a panic.
+func TestTiledOnPool(t *testing.T) {
+	opt := Options{TileSize: 8, Workers: 2}
+	orig := matrix.Random(32, 24, 29)
+
+	want, got := orig.Clone(), orig.Clone()
+	if _, err := GETRF(context.Background(), want, Options{TileSize: 8, Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GETRF(context.Background(), got, opt); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatal("GETRF factors depend on the worker count")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := GETRF(ctx, orig.Clone(), opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled GETRF = %v, want context.Canceled", err)
+	}
+	if _, err := GEQRF(ctx, orig.Clone(), opt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled GEQRF = %v, want context.Canceled", err)
 	}
 }

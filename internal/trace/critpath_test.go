@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"encoding/json"
 	"math"
 	"strings"
@@ -243,9 +244,9 @@ func TestPerfettoExport(t *testing.T) {
 // must be consistent (within 5%) with the summed trace spans.
 func TestCriticalPathRealCALU(t *testing.T) {
 	a := matrix.Random(200, 120, 5)
-	res, err := core.CALU(a, core.Options{
+	res, err := core.CALU(context.Background(), a, core.Options{
 		BlockSize: 20, PanelThreads: 2, Workers: 4, Trace: true, Lookahead: true,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -120,7 +121,7 @@ func TestFig3Fig4IdleContrast(t *testing.T) {
 // Real-execution trace should also render end to end.
 func TestRealTraceEndToEnd(t *testing.T) {
 	a := matrix.Random(60, 60, 3)
-	res, err := core.CALU(a, core.Options{BlockSize: 10, PanelThreads: 2, Workers: 2, Trace: true, Lookahead: true})
+	res, err := core.CALU(context.Background(), a, core.Options{BlockSize: 10, PanelThreads: 2, Workers: 2, Trace: true, Lookahead: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
