@@ -17,7 +17,9 @@
 //
 // -gemm runs the kernel-level performance trajectory instead: packed
 // Goto-style Dgemm against the frozen baseline across square and panel
-// shapes plus the engine-reuse end-to-end LU, optionally writing the
+// shapes, the fused Dtrsm at CALU's L-block and U-block shapes against
+// baseline.RefTrsm, plus the engine-reuse end-to-end LU, optionally
+// writing the
 // BENCH_gemm.json report and failing (exit 1) when the square-512 speedup
 // drops below -min-speedup. CI's benchmark-smoke job runs exactly that
 // gate; the checked-in BENCH_gemm.json is regenerated with a longer

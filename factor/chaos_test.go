@@ -43,7 +43,11 @@ func chaosVerify(t *testing.T, eng *Engine) {
 // retry, the pool must survive, and the engine must serve the next
 // request cleanly.
 func TestChaosPanicRetrySucceeds(t *testing.T) {
-	inj := fault.New(17, fault.Rule{Kind: fault.Panic, Rate: 1, Count: 2})
+	// Both panics hit the first leaf of the first panel, which every
+	// attempt runs, so each attempt fails on exactly one panic. Without
+	// the Match, two leaves dispatched together could both panic inside one
+	// attempt, and the retry count would depend on worker timing.
+	inj := fault.New(17, fault.Rule{Kind: fault.Panic, Rate: 1, Count: 2, Match: "P k=0 leaf=0"})
 	eng := NewEngineWithConfig(EngineConfig{
 		Workers: 4, MaxRetries: 3, RetryBackoff: time.Millisecond,
 		Interceptor: inj.Intercept,

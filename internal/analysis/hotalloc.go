@@ -5,8 +5,8 @@ package analysis
 //
 // The hot set is computed by reachability over the module call graph from
 // the roots below (the Goto-style Dgemm driver, its pack/microkernel
-// helpers, and sched.runTask — the code that runs once per macro-block
-// iteration or per task). Inside a hot function the check flags every
+// helpers, the fused GEMM-TRSM Dtrsm, and sched.runTask — the code that
+// runs once per macro-block iteration or per task). Inside a hot function the check flags every
 // construct that can allocate per call:
 //
 //   - heap-bound composite literals — &T{}, slice and map literals — and
@@ -49,6 +49,8 @@ var hotRoots = []struct{ pkg, name string }{
 	{"internal/blas", "packA"},
 	{"internal/blas", "packB"},
 	{"internal/blas", "macroKernel"},
+	// The fused GEMM-TRSM runs once per L and U task of every CALU panel.
+	{"internal/blas", "Dtrsm"},
 	{"internal/sched", "runTask"},
 	// ABFT checksum verification runs once per panel inside the task graph
 	// (V and finalize tasks); an allocation here taxes every verified
@@ -68,7 +70,7 @@ var hotExcludedPkgs = []string{"internal/scratch"}
 func hotpathAllocCheck() *ProgramCheck {
 	return &ProgramCheck{
 		Name: "hotpath-alloc",
-		Doc:  "functions reachable from Dgemm's pack/kernel loops and sched.runTask must not allocate per call",
+		Doc:  "functions reachable from Dgemm's pack/kernel loops, Dtrsm and sched.runTask must not allocate per call",
 		Run:  runHotpathAlloc,
 	}
 }

@@ -1,8 +1,10 @@
 package bench
 
 // GEMM performance trajectory: the packed Goto-style Dgemm (internal/blas)
-// against the frozen pre-refactor reference (internal/baseline), plus the
-// BenchmarkEngineReuse-shaped end-to-end LU as the workload-level check.
+// against the frozen pre-refactor reference (internal/baseline), the fused
+// GEMM-TRSM Dtrsm at the two shapes CALU issues against baseline.RefTrsm,
+// plus the BenchmarkEngineReuse-shaped end-to-end LU as the workload-level
+// check.
 // cmd/cabench serializes the report to BENCH_gemm.json so the perf
 // trajectory is checked in alongside the code, and CI gates on the 512
 // square speedup staying above a floor.
@@ -38,6 +40,22 @@ type GemmCase struct {
 	Speedup float64 `json:"speedup"`
 }
 
+// TrsmCase is one measured Dtrsm shape: m x n right-hand side B against
+// the triangle of order m (side "L") or n (side "R").
+type TrsmCase struct {
+	// Name labels the shape (calu-l-block, calu-u-block).
+	Name string `json:"name"`
+	Side string `json:"side"`
+	M    int    `json:"m"`
+	N    int    `json:"n"`
+	// PackedGFlops is Dtrsm's rate, BaselineGFlops baseline.RefTrsm's, both
+	// counting m*n*order flops and measured in this run.
+	PackedGFlops   float64 `json:"packed_gflops"`
+	BaselineGFlops float64 `json:"baseline_gflops"`
+	// Speedup is PackedGFlops / BaselineGFlops.
+	Speedup float64 `json:"speedup"`
+}
+
 // EngineReuseResult is the end-to-end workload check: the
 // BenchmarkEngineReuse shape (repeated 1000x200 CALU through a persistent
 // engine) timed against the current BLAS. The "before" side of the
@@ -64,6 +82,8 @@ type GemmReport struct {
 	// Cases covers 128-1024 square plus the panel shapes the factorizations
 	// actually issue.
 	Cases []GemmCase `json:"cases"`
+	// Trsm covers the triangular solves CALU issues per panel.
+	Trsm []TrsmCase `json:"trsm"`
 	// EngineReuse is the end-to-end LU workload measurement.
 	EngineReuse EngineReuseResult `json:"engine_reuse"`
 }
@@ -88,6 +108,53 @@ var gemmShapes = []struct {
 	{"larfb-vtc", blas.Trans, 64, 256, 1984},
 	{"larfb-cvw", blas.NoTrans, 1984, 256, 64},
 	{"larfb-small-t", blas.NoTrans, 64, 256, 64},
+}
+
+// trsmShapes are the CALU solves: the L-block X*U = B (right, upper,
+// non-unit) over the rows below a 100-wide panel, and the U-block L*X = B
+// (left, unit lower) across ColsPerTask = 4 block columns.
+var trsmShapes = []struct {
+	name string
+	side blas.Side
+	uplo blas.Uplo
+	diag blas.Diag
+	m, n int
+}{
+	{"calu-l-block", blas.Right, blas.Upper, blas.NonUnit, 50000, 100},
+	{"calu-u-block", blas.Left, blas.Lower, blas.Unit, 100, 400},
+}
+
+// timeTrsm measures one trsm implementation, restoring B before every
+// solve (outside the timed interval) so repeated solves see the same
+// operand, until the timed total exceeds minSample.
+func timeTrsm(side blas.Side, uplo blas.Uplo, diag blas.Diag, m, n int, minSample time.Duration,
+	run func(a []float64, lda int, b []float64)) float64 {
+	na := m
+	if side == blas.Right {
+		na = n
+	}
+	// A well-conditioned triangle: small off-diagonals, dominant diagonal.
+	a := fillSeq(na * na)
+	for i := range a {
+		a[i] /= 8 * float64(na)
+	}
+	for i := 0; i < na; i++ {
+		a[i*na+i] += 2
+	}
+	src := fillSeq(m * n)
+	b := make([]float64, m*n)
+	reps := 0
+	var el time.Duration
+	for reps < 2 || el < minSample {
+		copy(b, src)
+		start := time.Now()
+		run(a, na, b)
+		if reps > 0 { // the first solve warms pools and pages
+			el += time.Since(start)
+		}
+		reps++
+	}
+	return gflops(float64(m)*float64(n)*float64(na)*float64(reps-1), el.Seconds())
 }
 
 // timeGemm measures one gemm implementation at m x n x k (with op(A) = Aᵀ
@@ -156,6 +223,24 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 		}
 		rep.Cases = append(rep.Cases, gc)
 	}
+	for _, s := range trsmShapes {
+		progress(cfg, "trsm %s: packed...", s.name)
+		packed := timeTrsm(s.side, s.uplo, s.diag, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
+			blas.Dtrsm(s.side, s.uplo, blas.NoTrans, s.diag, s.m, s.n, 1, a, lda, b, s.m)
+		})
+		progress(cfg, "trsm %s: baseline...", s.name)
+		base := timeTrsm(s.side, s.uplo, s.diag, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
+			baseline.RefTrsm(s.side, s.uplo, blas.NoTrans, s.diag, s.m, s.n, 1, a, lda, b, s.m)
+		})
+		tc := TrsmCase{Name: s.name, Side: "R", M: s.m, N: s.n, PackedGFlops: packed, BaselineGFlops: base}
+		if s.side == blas.Left {
+			tc.Side = "L"
+		}
+		if base > 0 {
+			tc.Speedup = packed / base
+		}
+		rep.Trsm = append(rep.Trsm, tc)
+	}
 	rep.EngineReuse = runEngineReuse(cfg)
 	return rep
 }
@@ -213,7 +298,7 @@ func (r *GemmReport) WriteJSON(w io.Writer) error {
 func (r *GemmReport) Table() *Table {
 	t := &Table{
 		ID:       "gemm",
-		Title:    "Packed Dgemm vs frozen baseline (GFlop/s)",
+		Title:    "Packed Dgemm and Dtrsm vs frozen baseline (GFlop/s)",
 		PaperRef: "kernel trajectory (doc/KERNELS.md)",
 		Columns:  []string{"packed", "baseline", "speedup"},
 		Unit:     "GFlop/s (speedup is a ratio)",
@@ -223,6 +308,14 @@ func (r *GemmReport) Table() *Table {
 	for _, c := range r.Cases {
 		t.Rows = append(t.Rows, RowData{
 			Label: fmt.Sprintf("%s (%dx%dx%d)", c.Name, c.M, c.N, c.K),
+			Values: map[string]float64{
+				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
+			},
+		})
+	}
+	for _, c := range r.Trsm {
+		t.Rows = append(t.Rows, RowData{
+			Label: fmt.Sprintf("trsm %s (%s %dx%d)", c.Name, c.Side, c.M, c.N),
 			Values: map[string]float64{
 				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
 			},

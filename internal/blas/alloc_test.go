@@ -37,6 +37,43 @@ func TestDgemmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDtrsmZeroAlloc pins the fused GEMM-TRSM to zero steady-state heap
+// allocations at the two shapes CALU issues: the L-block solve (right,
+// upper, 50000 x 100) and the U-block solve (left, unit lower, 100 x 400).
+// The packed triangle and the -X panel come from internal/scratch.
+func TestDtrsmZeroAlloc(t *testing.T) {
+	const nb = 100
+	tri := make([]float64, nb*nb)
+	for i := range tri {
+		tri[i] = float64(i%7)*0.01 - 0.03
+	}
+	for i := 0; i < nb; i++ {
+		tri[i*nb+i] = 4
+	}
+	for _, c := range []struct {
+		side Side
+		uplo Uplo
+		diag Diag
+		m, n int
+	}{
+		{Right, Upper, NonUnit, 50000, nb},
+		{Left, Lower, Unit, nb, 400},
+	} {
+		b := make([]float64, c.m*c.n)
+		for i := range b {
+			b[i] = float64(i%5) * 0.25
+		}
+		run := func() {
+			Dtrsm(c.side, c.uplo, NoTrans, c.diag, c.m, c.n, 1, tri, nb, b, c.m)
+		}
+		run()
+		run()
+		if avg := testing.AllocsPerRun(5, run); avg != 0 {
+			t.Fatalf("Dtrsm(side=%v, %d×%d) allocates %.1f objects per call in steady state, want 0", c.side, c.m, c.n, avg)
+		}
+	}
+}
+
 // TestScratchZeroAlloc pins the Get/Put round trip itself to zero
 // allocations once the buffer and its header box are pooled.
 func TestScratchZeroAlloc(t *testing.T) {

@@ -111,8 +111,24 @@ func TestDgemmDifferential(t *testing.T) {
 	})
 }
 
-// triSizes cross the trsmNB=64 diagonal-block boundary on both sides.
+// triSizes cover every MR/NR fringe of the fused Dtrsm tiles (1..9), the
+// 4-wide diagonal blocks of its solve sweep, and Dtrmm's 64-wide diagonal
+// block boundary (63..65).
 var triSizes = []int{1, 2, 5, 8, 9, 17, 63, 64, 65, 100, 130}
+
+// caluTrsmShapes are the solves CALU issues: the tall right-side L block
+// (rows × b) and the wide left-side U block (b × ColsPerTask·b). The
+// sizes cross Dtrsm's cache blocks of the independent dimension (320 at
+// order 100, 248 at order 130) and end on MR/NR fringes.
+var caluTrsmShapes = []struct {
+	side blas.Side
+	m, n int
+}{
+	{blas.Right, 257, 100}, {blas.Right, 1000, 100}, {blas.Right, 4099, 100},
+	{blas.Right, 257, 130}, {blas.Right, 1000, 130}, {blas.Right, 4099, 130},
+	{blas.Left, 100, 100}, {blas.Left, 100, 401}, {blas.Left, 100, 1400},
+	{blas.Left, 130, 333},
+}
 
 // wellConditioned builds a random na x na triangle-bearing matrix whose
 // solves stay differentially comparable: off-diagonals are scaled by 1/na
@@ -130,6 +146,29 @@ func wellConditioned(na, lda int, r *lcg) []float64 {
 	return a
 }
 
+// checkTrsm runs one Dtrsm case against baseline.RefTrsm, comparing the
+// whole B slice so writes into the lda/ldb padding are caught.
+func checkTrsm(t *testing.T, r *lcg, side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n, ldSlack int, alpha float64) {
+	t.Helper()
+	na := m
+	if side == blas.Right {
+		na = n
+	}
+	lda := na + ldSlack
+	ldb := m + ldSlack
+	a := wellConditioned(na, lda, r)
+	b := randSlice(ldb*n, r)
+	want := append([]float64(nil), b...)
+	blas.Dtrsm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+	baseline.RefTrsm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
+	for i := range b {
+		if !closeEnough(b[i], want[i], float64(na)) {
+			t.Fatalf("Dtrsm side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
+				side, uplo, trans, diag, m, n, lda, alpha, i, b[i], want[i])
+		}
+	}
+}
+
 func TestDtrsmDifferential(t *testing.T) {
 	bothKernels(t, func(t *testing.T) {
 		r := lcg(2)
@@ -140,31 +179,23 @@ func TestDtrsmDifferential(t *testing.T) {
 					for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
 						for _, m := range triSizes {
 							for _, n := range triSizes {
-								if m > 65 && n > 65 { // keep the sweep fast
+								if m > 65 && n > 65 { // caluTrsmShapes covers the large ones
 									continue
 								}
 								caseIdx++
-								na := m
-								if side == blas.Right {
-									na = n
-								}
-								ldSlack := caseIdx % 3
-								lda := na + ldSlack
-								ldb := m + ldSlack
-								alpha := []float64{1, -0.6, 1.8}[caseIdx%3]
-								a := wellConditioned(na, lda, &r)
-								b := randSlice(ldb*n, &r)
-								want := append([]float64(nil), b...)
-								blas.Dtrsm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
-								baseline.RefTrsm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
-								for i := range b {
-									if !closeEnough(b[i], want[i], float64(na)) {
-										t.Fatalf("Dtrsm side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
-											side, uplo, trans, diag, m, n, lda, alpha, i, b[i], want[i])
-									}
-								}
+								checkTrsm(t, &r, side, uplo, trans, diag, m, n, caseIdx%3, []float64{1, -0.6, 1.8}[caseIdx%3])
 							}
 						}
+					}
+				}
+			}
+		}
+		for _, s := range caluTrsmShapes {
+			for _, uplo := range []blas.Uplo{blas.Upper, blas.Lower} {
+				for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+					for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
+						caseIdx++
+						checkTrsm(t, &r, s.side, uplo, trans, diag, s.m, s.n, 1+caseIdx%3, []float64{-0.6, 1.8, 0.35}[caseIdx%3])
 					}
 				}
 			}

@@ -9,11 +9,13 @@ import (
 // Level 3 drivers. Dgemm is the packed Goto-style implementation described
 // in doc/KERNELS.md: the driver validates shapes, applies beta, then loops
 // pack -> macrokernel over cache-sized blocks, with the pack buffers
-// recycled through internal/scratch. Dtrsm and Dtrmm are blocked drivers
-// that solve/multiply NB-wide diagonal blocks with the unblocked kernels in
-// level3unb.go and push all off-diagonal work through Dgemm, so every BLAS3
-// routine's bulk flops run on the one packed kernel path. The pre-refactor
-// unpacked kernels live on as baseline.RefGemm/RefTrsm/RefTrmm, the
+// recycled through internal/scratch. Dtrsm (trsm.go) is a fused GEMM-TRSM
+// on the same packed strips and microkernel: it subtracts the solved part
+// of each MR x NR tile with gemmKernel and finishes the tile with a small
+// triangular micro-solve. Dtrmm is a blocked driver that multiplies
+// trmmNB-wide diagonal blocks with the unblocked kernels in level3unb.go
+// and pushes all off-diagonal work through Dgemm. The pre-refactor unpacked
+// kernels live on as baseline.RefGemm/RefTrsm/RefTrmm, the
 // differential-testing references.
 
 // Register tile of the packed microkernel. These are fixed by the kernel
@@ -35,10 +37,10 @@ var (
 	gemmNC = 4096 // columns of packed B per macro block (multiple of gemmNR)
 )
 
-// trsmNB is the diagonal block width of the blocked Dtrsm/Dtrmm drivers:
-// triangles up to this order solve with the unblocked kernels, larger ones
-// split so the off-diagonal updates run through the packed Dgemm.
-const trsmNB = 64
+// trmmNB is the diagonal block width of the blocked Dtrmm driver: triangles
+// up to this order multiply with the unblocked kernels, larger ones split
+// so the off-diagonal products run through the packed Dgemm.
+const trmmNB = 64
 
 // BlockSizes returns the active cache blocking parameters (MC, KC, NC) of
 // the packed Dgemm.
@@ -143,97 +145,12 @@ func scaleCols(n, m int, beta float64, c []float64, ldc int) {
 	}
 }
 
-// Dtrsm solves op(A)*X = alpha*B (side == Left) or X*op(A) = alpha*B
-// (side == Right) for X, overwriting B. A is triangular. The driver is
-// blocked: NB-wide diagonal triangles solve with the unblocked kernels and
-// every off-diagonal elimination runs through the packed Dgemm.
-func Dtrsm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
-	na := m
-	if side == Right {
-		na = n
-	}
-	if m < 0 || n < 0 || lda < max(1, na) || ldb < max(1, m) {
-		panic(fmt.Errorf("%w: Dtrsm bad dims m=%d n=%d lda=%d ldb=%d", ErrShape, m, n, lda, ldb))
-	}
-	if m == 0 || n == 0 {
-		return
-	}
-	if alpha != 1 {
-		scaleCols(n, m, alpha, b, ldb)
-	}
-	if side == Left {
-		trsmLeftBlocked(uplo, trans, diag, m, n, a, lda, b, ldb)
-		return
-	}
-	trsmRightBlocked(uplo, trans, diag, m, n, a, lda, b, ldb)
-}
-
-// trsmLeftBlocked solves op(A)*X = B in place for an m x m triangle against
-// an m x n right-hand side, one NB-row block at a time.
-func trsmLeftBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	forward := (uplo == Lower) == (trans == NoTrans)
-	for bi := 0; bi < m; bi += trsmNB {
-		i0 := bi
-		if !forward {
-			// Same NB-aligned block grid, visited last block first.
-			i0 = (m - bi - 1) / trsmNB * trsmNB
-		}
-		ib := min(trsmNB, m-i0)
-		trsmUnbLeft(uplo, trans, diag, ib, n, a[i0*lda+i0:], lda, b[i0:], ldb)
-		x := b[i0:]
-		rest := m - i0 - ib
-		switch {
-		case uplo == Lower && trans == NoTrans && rest > 0:
-			// B[i0+ib:] -= A[i0+ib:, i0:i0+ib] * X
-			Dgemm(NoTrans, NoTrans, rest, n, ib, -1, a[i0*lda+i0+ib:], lda, x, ldb, 1, b[i0+ib:], ldb)
-		case uplo == Upper && trans == NoTrans && i0 > 0:
-			// B[0:i0] -= A[0:i0, i0:i0+ib] * X
-			Dgemm(NoTrans, NoTrans, i0, n, ib, -1, a[i0*lda:], lda, x, ldb, 1, b, ldb)
-		case uplo == Lower && trans == Trans && i0 > 0:
-			// B[0:i0] -= (A[i0:i0+ib, 0:i0])^T * X
-			Dgemm(Trans, NoTrans, i0, n, ib, -1, a[i0:], lda, x, ldb, 1, b, ldb)
-		case uplo == Upper && trans == Trans && rest > 0:
-			// B[i0+ib:] -= (A[i0:i0+ib, i0+ib:])^T * X
-			Dgemm(Trans, NoTrans, rest, n, ib, -1, a[(i0+ib)*lda+i0:], lda, x, ldb, 1, b[i0+ib:], ldb)
-		}
-	}
-}
-
-// trsmRightBlocked solves X*op(A) = B in place for an n x n triangle
-// against an m x n left-hand side, one NB-column block at a time.
-func trsmRightBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	forward := (uplo == Upper) == (trans == NoTrans)
-	for bj := 0; bj < n; bj += trsmNB {
-		j0 := bj
-		if !forward {
-			j0 = (n - bj - 1) / trsmNB * trsmNB
-		}
-		jb := min(trsmNB, n-j0)
-		trsmUnbRight(uplo, trans, diag, m, jb, a[j0*lda+j0:], lda, b[j0*ldb:], ldb)
-		x := b[j0*ldb:]
-		rest := n - j0 - jb
-		switch {
-		case uplo == Upper && trans == NoTrans && rest > 0:
-			// B[:, j0+jb:] -= X * A[j0:j0+jb, j0+jb:]
-			Dgemm(NoTrans, NoTrans, m, rest, jb, -1, x, ldb, a[(j0+jb)*lda+j0:], lda, 1, b[(j0+jb)*ldb:], ldb)
-		case uplo == Lower && trans == NoTrans && j0 > 0:
-			// B[:, 0:j0] -= X * A[j0:j0+jb, 0:j0]
-			Dgemm(NoTrans, NoTrans, m, j0, jb, -1, x, ldb, a[j0:], lda, 1, b, ldb)
-		case uplo == Upper && trans == Trans && j0 > 0:
-			// B[:, 0:j0] -= X * (A[0:j0, j0:j0+jb])^T
-			Dgemm(NoTrans, Trans, m, j0, jb, -1, x, ldb, a[j0*lda:], lda, 1, b, ldb)
-		case uplo == Lower && trans == Trans && rest > 0:
-			// B[:, j0+jb:] -= X * (A[j0+jb:, j0:j0+jb])^T
-			Dgemm(NoTrans, Trans, m, rest, jb, -1, x, ldb, a[j0*lda+j0+jb:], lda, 1, b[(j0+jb)*ldb:], ldb)
-		}
-	}
-}
-
 // Dtrmm computes B = alpha*op(A)*B (side == Left) or B = alpha*B*op(A)
-// (side == Right) for triangular A, overwriting B. Like Dtrsm, the driver
-// is blocked: diagonal blocks multiply with the unblocked kernels and the
-// off-diagonal contributions accumulate through the packed Dgemm, ordered
-// so every block reads only not-yet-overwritten parts of B.
+// (side == Right) for triangular A, overwriting B; alpha == 0 sets B to
+// zero without reading A. The driver is blocked: diagonal blocks multiply
+// with the unblocked kernels and the off-diagonal contributions accumulate
+// through the packed Dgemm, ordered so every block reads only
+// not-yet-overwritten parts of B.
 func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	na := m
 	if side == Right {
@@ -243,6 +160,10 @@ func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 		panic(fmt.Errorf("%w: Dtrmm bad dims m=%d n=%d lda=%d ldb=%d", ErrShape, m, n, lda, ldb))
 	}
 	if m == 0 || n == 0 {
+		return
+	}
+	if alpha == 0 {
+		scaleCols(n, m, 0, b, ldb)
 		return
 	}
 	if side == Left {
@@ -258,12 +179,12 @@ func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 // diagonal block (Upper/NoTrans, Lower/Trans), backward otherwise.
 func trmmLeftBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	forward := (uplo == Upper) == (trans == NoTrans)
-	for bi := 0; bi < m; bi += trsmNB {
+	for bi := 0; bi < m; bi += trmmNB {
 		i0 := bi
 		if !forward {
-			i0 = (m - bi - 1) / trsmNB * trsmNB
+			i0 = (m - bi - 1) / trmmNB * trmmNB
 		}
-		ib := min(trsmNB, m-i0)
+		ib := min(trmmNB, m-i0)
 		// Diagonal contribution first: B_i = alpha*op(A_ii)*B_i leaves the
 		// off-diagonal operand rows untouched.
 		trmmUnbLeft(uplo, trans, diag, ib, n, alpha, a[i0*lda+i0:], lda, b[i0:], ldb)
@@ -289,12 +210,12 @@ func trmmLeftBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha floa
 // ordered so each reads only original columns of B.
 func trmmRightBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	forward := (uplo == Lower) == (trans == NoTrans)
-	for bj := 0; bj < n; bj += trsmNB {
+	for bj := 0; bj < n; bj += trmmNB {
 		j0 := bj
 		if !forward {
-			j0 = (n - bj - 1) / trsmNB * trsmNB
+			j0 = (n - bj - 1) / trmmNB * trmmNB
 		}
-		jb := min(trsmNB, n-j0)
+		jb := min(trmmNB, n-j0)
 		trmmUnbRight(uplo, trans, diag, m, jb, alpha, a[j0*lda+j0:], lda, b[j0*ldb:], ldb)
 		rest := n - j0 - jb
 		switch {

@@ -314,3 +314,53 @@ func TestDtrsvSingularProducesInf(t *testing.T) {
 		t.Fatalf("expected Inf/NaN, got %v", x[0])
 	}
 }
+
+// alphaZeroTriangles are triangles whose use would poison B: an exactly
+// singular one (zero diagonal) and one holding Inf on and off the
+// diagonal.
+func alphaZeroTriangles(n int) map[string]*matrix.Dense {
+	singular := matrix.Random(n, n, 61)
+	inf := matrix.Random(n, n, 62)
+	for i := 0; i < n; i++ {
+		singular.Set(i, i, 0)
+		inf.Set(i, i, math.Inf(1))
+		inf.Set(i, n-1-i, math.Inf(-1))
+	}
+	return map[string]*matrix.Dense{"singular": singular, "inf": inf}
+}
+
+// checkAlphaZero runs op with alpha == 0 over every side/uplo/trans/diag
+// combination and asserts B comes back exactly zero: reference BLAS sets
+// B := 0 without reading A.
+func checkAlphaZero(t *testing.T, name string, op func(Side, Uplo, Transpose, Diag, int, int, float64, []float64, int, []float64, int)) {
+	t.Helper()
+	const m, n = 13, 10
+	for aname, tri := range alphaZeroTriangles(max(m, n)) {
+		for _, side := range []Side{Left, Right} {
+			for _, uplo := range []Uplo{Upper, Lower} {
+				for _, trans := range []Transpose{NoTrans, Trans} {
+					for _, diag := range []Diag{NonUnit, Unit} {
+						na := m
+						if side == Right {
+							na = n
+						}
+						b := viewOf(m, n, 63)
+						op(side, uplo, trans, diag, m, n, 0, tri.Data, tri.Stride, b.Data, b.Stride)
+						for j := 0; j < n; j++ {
+							for i := 0; i < m; i++ {
+								if v := b.At(i, j); v != 0 {
+									t.Fatalf("%s alpha=0 A=%s (order %d) side=%v uplo=%v trans=%v diag=%v: B(%d,%d)=%v, want 0",
+										name, aname, na, side, uplo, trans, diag, i, j, v)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestDtrsmAlphaZeroIgnoresA(t *testing.T) { checkAlphaZero(t, "Dtrsm", Dtrsm) }
+
+func TestDtrmmAlphaZeroIgnoresA(t *testing.T) { checkAlphaZero(t, "Dtrmm", Dtrmm) }

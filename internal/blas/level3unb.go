@@ -1,107 +1,10 @@
 package blas
 
-// Unblocked triangular kernels: the diagonal-block building blocks of the
-// blocked Dtrsm/Dtrmm drivers in level3.go. They operate on triangles of at
-// most trsmNB order (cache-resident), so the simple column sweeps here are
+// Unblocked triangular multiplies: the diagonal-block building blocks of the
+// blocked Dtrmm driver in level3.go. They operate on triangles of at most
+// trmmNB order (cache-resident), so the simple column sweeps here are
 // adequate; all O(n^2 m) off-diagonal work happens in the packed Dgemm.
-// Shape validation happened in the public drivers.
-
-// trsmUnbLeft solves op(A)*X = B in place, column by column, for an m x m
-// triangle (alpha already applied by the driver).
-func trsmUnbLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	for j := 0; j < n; j++ {
-		Dtrsv(uplo, trans, diag, m, a, lda, b[j*ldb:j*ldb+m], 1)
-	}
-}
-
-// trsmUnbRight solves X*op(A) = B in place for an n x n triangle, processing
-// columns of X in dependency order (alpha already applied by the driver).
-func trsmUnbRight(uplo Uplo, trans Transpose, diag Diag, m, n int, a []float64, lda int, b []float64, ldb int) {
-	switch {
-	case uplo == Upper && trans == NoTrans:
-		// X(:,j) = (B(:,j) - sum_{k<j} X(:,k) A(k,j)) / A(j,j)
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			for k := 0; k < j; k++ {
-				akj := a[j*lda+k]
-				if akj == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= akj * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
-		}
-	case uplo == Lower && trans == NoTrans:
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			for k := j + 1; k < n; k++ {
-				akj := a[j*lda+k]
-				if akj == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= akj * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
-		}
-	case uplo == Upper && trans == Trans:
-		// X * A^T = B with A upper => effective coefficient A(j,k) for k>j.
-		for j := n - 1; j >= 0; j-- {
-			bj := b[j*ldb : j*ldb+m]
-			for k := j + 1; k < n; k++ {
-				ajk := a[k*lda+j]
-				if ajk == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= ajk * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
-		}
-	default: // Lower, Trans
-		for j := 0; j < n; j++ {
-			bj := b[j*ldb : j*ldb+m]
-			for k := 0; k < j; k++ {
-				ajk := a[k*lda+j]
-				if ajk == 0 {
-					continue
-				}
-				bk := b[k*ldb : k*ldb+m]
-				for i := range bj {
-					bj[i] -= ajk * bk[i]
-				}
-			}
-			if diag == NonUnit {
-				inv := 1 / a[j*lda+j]
-				for i := range bj {
-					bj[i] *= inv
-				}
-			}
-		}
-	}
-}
+// Shape validation happened in the public driver.
 
 // trmmUnbLeft computes B = alpha*op(A)*B in place for an m x m triangle.
 func trmmUnbLeft(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {

@@ -28,6 +28,41 @@ func gemmKernel(kc int, a, b, c []float64, ldc int) {
 	gemmKernelGeneric(kc, a, b, c, ldc)
 }
 
+// trsmSolve finishes one Dtrsm tile (trsm.go): the jb local columns of the
+// MR-lane tile, column c at t[tb+c*ldt], solve X*D = T against the local
+// diagonal block d (d[c*NR+k] = D(k, c) for k < c, d[c*NR+c] the inverted
+// diagonal), overwriting T with X and storing -X column c at
+// x[xb+c*ldx]. Strides are signed: a negative one walks a backward sweep's
+// columns in reverse.
+func trsmSolve(jb int, t []float64, tb, ldt int, d, x []float64, xb, ldx int) {
+	if useAsmKernel && jb == gemmNR {
+		trsmSolveAsm(t, tb, ldt, d, x, xb, ldx)
+		return
+	}
+	trsmSolveGeneric(jb, t, tb, ldt, d, x, xb, ldx)
+}
+
+// trsmSolveGeneric is the portable trsmSolve, also the path for blocks
+// narrower than NR.
+func trsmSolveGeneric(jb int, t []float64, tb, ldt int, d, x []float64, xb, ldx int) {
+	for c := 0; c < jb; c++ {
+		col := t[tb+c*ldt : tb+c*ldt+gemmMR]
+		for k := 0; k < c; k++ {
+			e := d[c*gemmNR+k]
+			xk := t[tb+k*ldt : tb+k*ldt+gemmMR]
+			for i := range col {
+				col[i] -= e * xk[i]
+			}
+		}
+		inv := d[c*gemmNR+c]
+		xc := x[xb+c*ldx : xb+c*ldx+gemmMR]
+		for i := range col {
+			col[i] *= inv
+			xc[i] = -col[i]
+		}
+	}
+}
+
 // KernelName identifies the active microkernel implementation, for
 // benchmark reports (BENCH_gemm.json) and calibration output.
 func KernelName() string {

@@ -56,3 +56,17 @@ func gemmKernel8x4Asm(kc int, a, b, c *float64, ldc int)
 func gemmKernelAsm(kc int, a, b, c []float64, ldc int) {
 	gemmKernel8x4Asm(kc, &a[0], &b[0], &c[0], ldc)
 }
+
+// trsmSolve8x4Asm is trsmSolve for a full NR-wide block with AVX2 FMA
+// instructions: the four local columns of the 8-lane tile start at t and
+// step ldt elements, their -X stores start at x and step ldx; d is the
+// 4x4 local diagonal block.
+//
+//go:noescape
+func trsmSolve8x4Asm(t *float64, ldt int, d, x *float64, ldx int)
+
+// trsmSolveAsm adapts the slice-based dispatch to the pointer-based
+// assembly routine.
+func trsmSolveAsm(t []float64, tb, ldt int, d, x []float64, xb, ldx int) {
+	trsmSolve8x4Asm(&t[tb], ldt, &d[0], &x[xb], ldx)
+}

@@ -117,6 +117,110 @@ write:
 	VZEROUPPER
 	RET
 
+// func trsmSolve8x4Asm(t *float64, ldt int, d, x *float64, ldx int)
+//
+// Solves X*D = T in place for the 8x4 tile whose local column c (8
+// contiguous doubles) starts at t + c*ldt, D upper triangular in local
+// order with d[c*4+k] = D(k, c) and d[c*4+c] = 1/D(c, c), and stores -X
+// column c at x + c*ldx. ldt and ldx are signed element strides.
+//
+// Register plan: Y0..Y7 hold the tile (two YMM per column), Y8 the
+// broadcast coefficient, Y9 zero for the negation.
+TEXT ·trsmSolve8x4Asm(SB), NOSPLIT, $0-40
+	MOVQ t+0(FP), DI
+	MOVQ ldt+8(FP), DX
+	SHLQ $3, DX                // ldt in bytes
+	MOVQ d+16(FP), BX
+	MOVQ x+24(FP), SI
+	MOVQ ldx+32(FP), CX
+	SHLQ $3, CX                // ldx in bytes
+
+	MOVQ    DI, R8
+	VMOVUPD (R8), Y0
+	VMOVUPD 32(R8), Y1
+	ADDQ    DX, R8
+	VMOVUPD (R8), Y2
+	VMOVUPD 32(R8), Y3
+	ADDQ    DX, R8
+	VMOVUPD (R8), Y4
+	VMOVUPD 32(R8), Y5
+	ADDQ    DX, R8
+	VMOVUPD (R8), Y6
+	VMOVUPD 32(R8), Y7
+
+	// x0 = t0 * d[0]
+	VBROADCASTSD (BX), Y8
+	VMULPD       Y8, Y0, Y0
+	VMULPD       Y8, Y1, Y1
+
+	// x1 = (t1 - x0*d[4]) * d[5]
+	VBROADCASTSD 32(BX), Y8
+	VFNMADD231PD Y8, Y0, Y2
+	VFNMADD231PD Y8, Y1, Y3
+	VBROADCASTSD 40(BX), Y8
+	VMULPD       Y8, Y2, Y2
+	VMULPD       Y8, Y3, Y3
+
+	// x2 = (t2 - x0*d[8] - x1*d[9]) * d[10]
+	VBROADCASTSD 64(BX), Y8
+	VFNMADD231PD Y8, Y0, Y4
+	VFNMADD231PD Y8, Y1, Y5
+	VBROADCASTSD 72(BX), Y8
+	VFNMADD231PD Y8, Y2, Y4
+	VFNMADD231PD Y8, Y3, Y5
+	VBROADCASTSD 80(BX), Y8
+	VMULPD       Y8, Y4, Y4
+	VMULPD       Y8, Y5, Y5
+
+	// x3 = (t3 - x0*d[12] - x1*d[13] - x2*d[14]) * d[15]
+	VBROADCASTSD 96(BX), Y8
+	VFNMADD231PD Y8, Y0, Y6
+	VFNMADD231PD Y8, Y1, Y7
+	VBROADCASTSD 104(BX), Y8
+	VFNMADD231PD Y8, Y2, Y6
+	VFNMADD231PD Y8, Y3, Y7
+	VBROADCASTSD 112(BX), Y8
+	VFNMADD231PD Y8, Y4, Y6
+	VFNMADD231PD Y8, Y5, Y7
+	VBROADCASTSD 120(BX), Y8
+	VMULPD       Y8, Y6, Y6
+	VMULPD       Y8, Y7, Y7
+
+	// Write X back over T and -X to the pack, one column at a time.
+	VXORPD  Y9, Y9, Y9
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VSUBPD  Y0, Y9, Y0
+	VSUBPD  Y1, Y9, Y1
+	VMOVUPD Y0, (SI)
+	VMOVUPD Y1, 32(SI)
+	ADDQ    DX, DI
+	ADDQ    CX, SI
+	VMOVUPD Y2, (DI)
+	VMOVUPD Y3, 32(DI)
+	VSUBPD  Y2, Y9, Y2
+	VSUBPD  Y3, Y9, Y3
+	VMOVUPD Y2, (SI)
+	VMOVUPD Y3, 32(SI)
+	ADDQ    DX, DI
+	ADDQ    CX, SI
+	VMOVUPD Y4, (DI)
+	VMOVUPD Y5, 32(DI)
+	VSUBPD  Y4, Y9, Y4
+	VSUBPD  Y5, Y9, Y5
+	VMOVUPD Y4, (SI)
+	VMOVUPD Y5, 32(SI)
+	ADDQ    DX, DI
+	ADDQ    CX, SI
+	VMOVUPD Y6, (DI)
+	VMOVUPD Y7, 32(DI)
+	VSUBPD  Y6, Y9, Y6
+	VSUBPD  Y7, Y9, Y7
+	VMOVUPD Y6, (SI)
+	VMOVUPD Y7, 32(SI)
+	VZEROUPPER
+	RET
+
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL eaxIn+0(FP), AX

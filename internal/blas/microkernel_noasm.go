@@ -15,3 +15,9 @@ func probeAsmKernel() bool { return false }
 func gemmKernelAsm(kc int, a, b, c []float64, ldc int) {
 	gemmKernelGeneric(kc, a, b, c, ldc)
 }
+
+// trsmSolveAsm is never reached when useAsmKernel is false; like
+// gemmKernelAsm it exists so the dispatch compiles everywhere.
+func trsmSolveAsm(t []float64, tb, ldt int, d, x []float64, xb, ldx int) {
+	trsmSolveGeneric(gemmNR, t, tb, ldt, d, x, xb, ldx)
+}

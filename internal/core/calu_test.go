@@ -443,3 +443,24 @@ func TestCALUShapeErrors(t *testing.T) {
 		t.Fatalf("CALU(empty) = %v, want ErrShape", err)
 	}
 }
+
+// TestCALUTallSkinnyBackwardError holds the paper's regime — one tall
+// panel, where the L-block right TRSM does most of the work — to the
+// normwise backward error bound the benchmark checks every result against:
+// ||PA - LU||_F / (n·ε·||A||_F) <= 16, under every reduction tree.
+func TestCALUTallSkinnyBackwardError(t *testing.T) {
+	const (
+		m, n  = 6000, 100
+		eps   = 0x1p-52
+		bound = 16
+	)
+	orig := matrix.Random(m, n, 17)
+	for _, tree := range []tslu.Tree{tslu.Binary, tslu.Flat, tslu.Hybrid} {
+		for _, b := range []int{n, 40} {
+			opt := Options{BlockSize: b, PanelThreads: 4, Tree: tree, Workers: 2, Lookahead: true}
+			if be := caluResidual(t, orig, opt) / (n * eps); be > bound {
+				t.Errorf("tree=%v b=%d: backward error %.3g > %d", tree, b, be, bound)
+			}
+		}
+	}
+}

@@ -29,34 +29,44 @@ var ErrSingular = errors.New("lapack: matrix is exactly singular")
 // diagonal) and U; ipiv[k] records that row k was swapped with row ipiv[k]
 // (0-based, ipiv[k] >= k). len(ipiv) must be min(m, n).
 func GETF2(a *matrix.Dense, ipiv []int) error {
-	m, n := a.Rows, a.Cols
-	k := min(m, n)
-	if len(ipiv) != k {
+	if k := min(a.Rows, a.Cols); len(ipiv) != k {
 		panic(fmt.Errorf("%w: GETF2 ipiv length %d want %d", ErrShape, len(ipiv), k))
 	}
+	return getf2(a.Rows, a.Cols, a.Data, a.Stride, ipiv)
+}
+
+// getf2 is GETF2 on the m x n column-major block a with leading dimension
+// lda.
+func getf2(m, n int, a []float64, lda int, ipiv []int) error {
 	var err error
-	for j := 0; j < k; j++ {
+	for j := 0; j < min(m, n); j++ {
 		// Find pivot in column j at or below the diagonal.
-		col := a.Col(j)
+		col := a[j*lda : j*lda+m]
 		p := j + blas.Idamax(m-j, col[j:], 1)
 		ipiv[j] = p
-		if a.At(p, j) == 0 {
+		if col[p] == 0 {
 			err = ErrSingular
 			continue
 		}
-		if p != j {
-			a.SwapRows(j, p)
-		}
+		swapRows(n, a, lda, j, p)
 		// Scale the sub-column to form L(j+1:m, j).
 		blas.Dscal(m-j-1, 1/col[j], col[j+1:], 1)
 		// Rank-1 update of the trailing submatrix.
-		if j < n-1 {
-			trail := a.View(j+1, j+1, m-j-1, n-j-1)
-			blas.Dger(trail.Rows, trail.Cols, -1, col[j+1:], 1,
-				a.Data[(j+1)*a.Stride+j:], a.Stride, trail.Data, trail.Stride)
+		if j < n-1 && j < m-1 {
+			blas.Dger(m-j-1, n-j-1, -1, col[j+1:], 1, a[(j+1)*lda+j:], lda, a[(j+1)*lda+j+1:], lda)
 		}
 	}
 	return err
+}
+
+// swapRows swaps rows i and p across the n columns of a.
+func swapRows(n int, a []float64, lda, i, p int) {
+	if i == p {
+		return
+	}
+	for c := 0; c < n; c++ {
+		a[c*lda+i], a[c*lda+p] = a[c*lda+p], a[c*lda+i]
+	}
 }
 
 // RGETF2 computes the same factorization as GETF2 using Toledo's recursive
@@ -69,48 +79,47 @@ func RGETF2(a *matrix.Dense, ipiv []int) error {
 	if len(ipiv) != k {
 		panic(fmt.Errorf("%w: RGETF2 ipiv length %d want %d", ErrShape, len(ipiv), k))
 	}
-	return rgetf2(a, ipiv)
+	return rgetf2(m, n, a.Data, a.Stride, ipiv)
 }
 
-func rgetf2(a *matrix.Dense, ipiv []int) error {
-	m, n := a.Rows, a.Cols
+// rgetf2 is RGETF2 on the m x n column-major block a with leading
+// dimension lda. The recursion works on offsets into a, so it allocates
+// nothing.
+func rgetf2(m, n int, a []float64, lda int, ipiv []int) error {
 	k := min(m, n)
 	if k == 0 {
 		return nil
 	}
 	if k == 1 || n == 1 {
 		// Base case: a single column (or single row) — plain GEPP step.
-		return GETF2(a, ipiv)
+		return getf2(m, n, a, lda, ipiv)
 	}
 	nl := k / 2
 	var err error
 	// Factor the left half recursively, keeping the first failure (LAPACK
 	// info convention).
-	left := a.View(0, 0, m, nl)
-	if e := rgetf2(left, ipiv[:nl]); e != nil {
+	if e := rgetf2(m, nl, a, lda, ipiv[:nl]); e != nil {
 		err = e
 	}
 	// Apply the left half's interchanges to the right half.
-	right := a.View(0, nl, m, n-nl)
-	LASWP(right, ipiv[:nl], 0, nl)
+	right := a[nl*lda:]
+	for i, p := range ipiv[:nl] {
+		swapRows(n-nl, right, lda, i, p)
+	}
 	// U12 = L11^{-1} A12.
-	a11 := a.View(0, 0, nl, nl)
-	a12 := right.View(0, 0, nl, n-nl)
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, a11, a12)
+	blas.Dtrsm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, nl, n-nl, 1, a, lda, right, lda)
 	// A22 -= L21 U12.
-	a21 := a.View(nl, 0, m-nl, nl)
-	a22 := right.View(nl, 0, m-nl, n-nl)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, -1, a21, a12, 1, a22)
+	blas.Dgemm(blas.NoTrans, blas.NoTrans, m-nl, n-nl, nl, -1, a[nl:], lda, right, lda, 1, right[nl:], lda)
 	// Factor the trailing part recursively; an earlier failure wins.
-	if e := rgetf2(a22, ipiv[nl:k]); e != nil && err == nil {
+	if e := rgetf2(m-nl, n-nl, right[nl:], lda, ipiv[nl:k]); e != nil && err == nil {
 		err = e
 	}
 	// Fix up pivot indices and pull the interchanges back across the left
 	// columns.
 	for i := nl; i < k; i++ {
 		ipiv[i] += nl
+		swapRows(nl, a, lda, i, ipiv[i])
 	}
-	LASWP(a.View(0, 0, m, nl), ipiv[:k], nl, k)
 	return err
 }
 
