@@ -358,7 +358,7 @@ func BenchmarkOneShot(b *testing.B) {
 func BenchmarkEngineReuse(b *testing.B) {
 	orig := factor.Random(1000, 200, 3)
 	opt := factor.Options{BlockSize: 100, PanelThreads: 4}
-	eng := factor.NewEngine(4)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 4})
 	defer eng.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -366,7 +366,7 @@ func BenchmarkEngineReuse(b *testing.B) {
 		b.StopTimer()
 		a := orig.Clone()
 		b.StartTimer()
-		if _, err := eng.LU(a, opt); err != nil {
+		if _, err := eng.LUCtx(context.Background(), a, opt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -74,16 +74,17 @@ func main() {
 		cfg.Verbose = os.Stderr
 	}
 
+	ctx := context.Background()
 	if *gemm {
-		runGemm(cfg, *jsonPath, *minSpeedup, *sample)
+		runGemm(ctx, cfg, *jsonPath, *minSpeedup, *sample)
 		return
 	}
 	if *obsOverhead > 0 {
-		runObsOverhead(cfg, *obsOverhead, *obsRounds)
+		runOverhead(ctx, cfg, bench.ObsOverhead, *obsOverhead, *obsRounds)
 		return
 	}
 	if *verifyOverhead > 0 {
-		runVerifyOverhead(cfg, *verifyOverhead, *verifyRounds)
+		runOverhead(ctx, cfg, bench.VerifyOverhead, *verifyOverhead, *verifyRounds)
 		return
 	}
 
@@ -107,7 +108,6 @@ func main() {
 		}
 	}
 
-	ctx := context.Background()
 	if *exp == "all" {
 		for _, e := range bench.Experiments() {
 			emit(e.Run(ctx, cfg))
@@ -124,8 +124,8 @@ func main() {
 
 // runGemm executes the kernel trajectory, optionally writes the JSON
 // report, and enforces the regression gate on the square-512 speedup.
-func runGemm(cfg bench.Config, jsonPath string, minSpeedup float64, sample time.Duration) {
-	rep := bench.RunGemmReport(cfg, sample)
+func runGemm(ctx context.Context, cfg bench.Config, jsonPath string, minSpeedup float64, sample time.Duration) {
+	rep := bench.RunGemmReport(ctx, cfg, sample)
 	rep.Table().Format(os.Stdout)
 	if jsonPath != "" {
 		f, err := os.Create(jsonPath)
@@ -153,30 +153,15 @@ func runGemm(cfg bench.Config, jsonPath string, minSpeedup float64, sample time.
 	}
 }
 
-// runVerifyOverhead runs the ABFT-verification overhead gate: engine-reuse
-// with checksum verification on vs off, best round each, failing when the
-// relative cost exceeds maxPct.
-func runVerifyOverhead(cfg bench.Config, maxPct float64, rounds int) {
-	res := bench.RunVerifyOverhead(cfg, rounds)
-	fmt.Printf("verify overhead: verified %.2f ms/op, unverified %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
-		res.VerifiedMsPerOp, res.UnverifiedMsPerOp, res.OverheadPct, res.Rounds)
+// runOverhead runs one overhead gate: engine-reuse with the feature on vs
+// off, best round each, failing when the relative cost exceeds maxPct.
+func runOverhead(ctx context.Context, cfg bench.Config, ov bench.Overhead, maxPct float64, rounds int) {
+	res := bench.RunOverhead(ctx, cfg, ov, rounds)
+	fmt.Printf("%s overhead: %s %.2f ms/op, %s %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
+		ov.Name, ov.On, res.OnMsPerOp, ov.Off, res.OffMsPerOp, res.OverheadPct, res.Rounds)
 	if res.OverheadPct > maxPct {
-		fmt.Fprintf(os.Stderr, "verify overhead gate: %.2f%% > allowed %.2f%%\n", res.OverheadPct, maxPct)
+		fmt.Fprintf(os.Stderr, "%s overhead gate: %.2f%% > allowed %.2f%%\n", ov.Name, res.OverheadPct, maxPct)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "verify overhead gate ok: %.2f%% <= %.2f%%\n", res.OverheadPct, maxPct)
-}
-
-// runObsOverhead runs the instrumentation-overhead gate: engine-reuse with
-// scheduler metrics on vs off, best round each, failing when the relative
-// cost exceeds maxPct.
-func runObsOverhead(cfg bench.Config, maxPct float64, rounds int) {
-	res := bench.RunObsOverhead(cfg, rounds)
-	fmt.Printf("obs overhead: instrumented %.2f ms/op, uninstrumented %.2f ms/op, overhead %.2f%% (%d rounds, best each)\n",
-		res.InstrumentedMsPerOp, res.UninstrumentedMsPerOp, res.OverheadPct, res.Rounds)
-	if res.OverheadPct > maxPct {
-		fmt.Fprintf(os.Stderr, "obs overhead gate: %.2f%% > allowed %.2f%%\n", res.OverheadPct, maxPct)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "obs overhead gate ok: %.2f%% <= %.2f%%\n", res.OverheadPct, maxPct)
+	fmt.Fprintf(os.Stderr, "%s overhead gate ok: %.2f%% <= %.2f%%\n", ov.Name, res.OverheadPct, maxPct)
 }

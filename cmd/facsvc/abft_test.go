@@ -19,7 +19,7 @@ import (
 
 func TestReadyzDrainFlip(t *testing.T) {
 	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 1})
-	srv := newServer(eng, factor.EngineConfig{})
+	srv := newServer(eng, requestDefaults{})
 	ts := httptest.NewServer(srv.handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -56,7 +56,7 @@ func TestReadyzDrainFlip(t *testing.T) {
 // succeeds in both encodings — the zero-false-positive contract at the
 // HTTP boundary.
 func TestVerifyFlagBothEncodings(t *testing.T) {
-	url, eng := newTestService(t, factor.EngineConfig{Workers: 2})
+	url, eng := newTestService(t, factor.EngineConfig{Workers: 2}, requestDefaults{})
 
 	resp := jsonLU(t, url, jsonRequest{
 		Rows: 24, Cols: 24, Data: randomData(24, 24, 7),
@@ -92,9 +92,8 @@ func TestCorruptedRequestMapsTo503(t *testing.T) {
 	inj := fault.New(11, fault.Rule{Kind: fault.Corrupt, Match: "S k=0", Rate: 1, Count: 1, Perturb: 1e6})
 	url, _ := newTestService(t, factor.EngineConfig{
 		Workers:         2,
-		VerifyChecksums: true,
 		PostInterceptor: inj.InterceptPost,
-	})
+	}, requestDefaults{verify: true})
 
 	resp := jsonLU(t, url, jsonRequest{
 		Rows: 24, Cols: 24, Data: randomData(24, 24, 9),
@@ -105,8 +104,8 @@ func TestCorruptedRequestMapsTo503(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("corrupted request status %d: %s", resp.StatusCode, b)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 for corruption is missing Retry-After")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("503 for corruption has Retry-After %q, want 1", ra)
 	}
 	if got := inj.Injected(fault.Corrupt); got != 1 {
 		t.Fatalf("injected %d corruptions, want 1", got)
@@ -138,9 +137,8 @@ func TestCorruptedRequestRecoversWithRetries(t *testing.T) {
 	url, eng := newTestService(t, factor.EngineConfig{
 		Workers:         2,
 		MaxRetries:      2,
-		VerifyChecksums: true,
 		PostInterceptor: inj.InterceptPost,
-	})
+	}, requestDefaults{verify: true})
 
 	resp := jsonLU(t, url, jsonRequest{
 		Rows: 24, Cols: 24, Data: randomData(24, 24, 9),

@@ -24,7 +24,7 @@ func TestSaturatingLoadShedsCleanly(t *testing.T) {
 	url, eng := newTestService(t, factor.EngineConfig{
 		Workers:     2,
 		MaxInFlight: maxInFlight,
-	})
+	}, requestDefaults{})
 
 	body, err := json.Marshal(jsonRequest{Rows: 64, Cols: 64, Data: randomData(64, 64, 11), Options: jsonOptions{BlockSize: 16}})
 	if err != nil {

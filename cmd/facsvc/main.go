@@ -30,6 +30,7 @@ type serviceConfig struct {
 	addr         string
 	pprofAddr    string
 	engine       factor.EngineConfig
+	defaults     requestDefaults
 	drainTimeout time.Duration
 }
 
@@ -45,8 +46,8 @@ func main() {
 	flag.DurationVar(&cfg.engine.BatchWindow, "batch-window", 500*time.Microsecond, "request coalescing window (0 = off)")
 	flag.IntVar(&cfg.engine.BatchMaxRequests, "batch-max-requests", 16, "flush a coalescing window early at this many requests")
 	flag.IntVar(&cfg.engine.BatchMaxDim, "batch-max-dim", 256, "largest matrix dimension eligible for coalescing")
-	flag.Float64Var(&cfg.engine.GrowthThreshold, "growth-threshold", 0, "default LU pivot-growth guardrail (0 = off)")
-	flag.BoolVar(&cfg.engine.VerifyChecksums, "verify", false, "force ABFT checksum verification on every request")
+	flag.Float64Var(&cfg.defaults.growth, "growth-threshold", 0, "LU pivot-growth guardrail for requests that set none (0 = off)")
+	flag.BoolVar(&cfg.defaults.verify, "verify", false, "force ABFT checksum verification on every request")
 	flag.IntVar(&cfg.engine.MaxPanelRecomputes, "max-panel-recomputes", 0, "corrupted-panel recompute budget per verified LU (0 = default 2, negative = escalate immediately)")
 	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight work")
 	flag.Parse()
@@ -67,7 +68,7 @@ func run(ctx context.Context, cfg serviceConfig, ready chan<- net.Addr) error {
 	// keys match the service's historical hand-rolled exposition.
 	cfg.engine.MetricsNamespace = "facsvc_engine"
 	eng := factor.NewEngineWithConfig(cfg.engine)
-	srv := newServer(eng, cfg.engine)
+	srv := newServer(eng, cfg.defaults)
 
 	// Opt-in profiling listener, kept off the service port so a scrape-happy
 	// operator can't accidentally expose pprof with /metrics. Request handlers

@@ -105,20 +105,37 @@ func parseTree(s string) (factor.Tree, error) {
 	}
 }
 
-// decodeRequest reads one factorization request in either encoding.
-func decodeRequest(r *http.Request) (*request, error) {
+// requestDefaults are the service's flag-set request defaults, applied to
+// every request at decode in either encoding.
+type requestDefaults struct {
+	growth float64 // GrowthThreshold of requests that leave it 0
+	verify bool    // Verify forced on
+}
+
+// decodeRequest reads one factorization request in either encoding and
+// applies the service defaults d to its options.
+func decodeRequest(r *http.Request, d requestDefaults) (*request, error) {
 	ct := r.Header.Get("Content-Type")
 	if i := strings.IndexByte(ct, ';'); i >= 0 {
 		ct = ct[:i]
 	}
+	decode := decodeJSON
 	switch strings.TrimSpace(ct) {
 	case "application/octet-stream":
-		return decodeBinary(r)
+		decode = decodeBinary
 	case "", "application/json":
-		return decodeJSON(r)
 	default:
 		return nil, badRequest("unsupported Content-Type %q", ct)
 	}
+	req, err := decode(r)
+	if err != nil {
+		return nil, err
+	}
+	if req.opt.GrowthThreshold == 0 {
+		req.opt.GrowthThreshold = d.growth
+	}
+	req.opt.Verify = req.opt.Verify || d.verify
+	return req, nil
 }
 
 func decodeJSON(r *http.Request) (*request, error) {

@@ -32,10 +32,15 @@ import (
 // deadline metric honest.
 const statusClientClosedRequest = 499
 
+// retryAfter is the Retry-After header of 429 and 503 responses, in whole
+// seconds, the header's granularity. The engine's own retry backoff is
+// milliseconds, so a client is told the shortest wait the header can say.
+const retryAfter = "1"
+
 // server is the facsvc HTTP front end over one factor.Engine.
 type server struct {
-	eng *factor.Engine
-	cfg factor.EngineConfig // for Retry-After; the engine keeps its own copy
+	eng      *factor.Engine
+	defaults requestDefaults // -growth-threshold and -verify
 
 	// draining flips once on shutdown, before the listener stops accepting:
 	// /readyz reports 503 from then on so a load balancer pulls the
@@ -50,12 +55,12 @@ type server struct {
 	seconds  *obs.HistogramVec // facsvc_http_request_seconds{op}
 }
 
-func newServer(eng *factor.Engine, cfg factor.EngineConfig) *server {
+func newServer(eng *factor.Engine, defaults requestDefaults) *server {
 	reg := obs.NewRegistry()
 	return &server{
-		eng: eng,
-		cfg: cfg,
-		reg: reg,
+		eng:      eng,
+		defaults: defaults,
+		reg:      reg,
 		started: reg.CounterVec("facsvc_http_requests_started_total",
 			"Factorization requests that passed decoding and entered the engine.",
 			"op"),
@@ -96,21 +101,6 @@ func (s *server) handler() http.Handler {
 // http.Server.Shutdown so traffic stops being routed here first.
 func (s *server) startDrain() { s.draining.Store(true) }
 
-// retryAfterSeconds derives the Retry-After hint for 429 responses from the
-// engine's backoff configuration: the base retry delay, rounded up to whole
-// seconds (the header's granularity), at least 1.
-func (s *server) retryAfterSeconds() int {
-	d := s.cfg.RetryBackoff
-	if d <= 0 {
-		d = 2 * time.Millisecond
-	}
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
-}
-
 // count records one finished request for /metrics.
 func (s *server) count(op string, status int) {
 	s.requests.With(op, fmt.Sprintf("%d", status)).Inc()
@@ -131,7 +121,7 @@ func (s *server) factorize(w http.ResponseWriter, r *http.Request, op string) {
 	start := time.Now()
 	defer func() { s.seconds.With(op).Observe(time.Since(start).Seconds()) }()
 
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(r, s.defaults)
 	if err != nil {
 		s.count(op, http.StatusBadRequest)
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -203,7 +193,7 @@ func (s *server) fail(w http.ResponseWriter, op string, err error) {
 	switch {
 	case errors.Is(err, factor.ErrOverloaded):
 		status = http.StatusTooManyRequests
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 	case errors.Is(err, context.DeadlineExceeded):
 		status = http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -215,9 +205,9 @@ func (s *server) fail(w http.ResponseWriter, op string, err error) {
 	case errors.Is(err, factor.ErrCorrupted):
 		// Verified factorization detected unrecovered silent corruption:
 		// transient, not a property of the input, so the client should
-		// retry — after the engine's own backoff window.
+		// retry.
 		status = http.StatusServiceUnavailable
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", s.retryAfterSeconds()))
+		w.Header().Set("Retry-After", retryAfter)
 	case errors.Is(err, factor.ErrEngineClosed):
 		status = http.StatusServiceUnavailable
 	}

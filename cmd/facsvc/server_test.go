@@ -25,11 +25,11 @@ import (
 
 // newTestService builds an engine + server + httptest front end; the caller
 // gets the base URL and a cleanup-registered engine.
-func newTestService(t *testing.T, cfg factor.EngineConfig) (string, *factor.Engine) {
+func newTestService(t *testing.T, cfg factor.EngineConfig, defaults requestDefaults) (string, *factor.Engine) {
 	t.Helper()
 	cfg.MetricsNamespace = "facsvc_engine" // mirror run()
 	eng := factor.NewEngineWithConfig(cfg)
-	ts := httptest.NewServer(newServer(eng, cfg).handler())
+	ts := httptest.NewServer(newServer(eng, defaults).handler())
 	t.Cleanup(func() {
 		ts.Close()
 		eng.Close()
@@ -71,7 +71,7 @@ func randomData(r, c int, seed int64) []float64 {
 }
 
 func TestJSONRoundTrip(t *testing.T) {
-	url, _ := newTestService(t, factor.EngineConfig{Workers: 2})
+	url, _ := newTestService(t, factor.EngineConfig{Workers: 2}, requestDefaults{})
 	resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: randomData(8, 8, 1), Options: jsonOptions{BlockSize: 4}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -116,7 +116,7 @@ func binaryBody(vals []float64) []byte {
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
-	url, _ := newTestService(t, factor.EngineConfig{Workers: 2})
+	url, _ := newTestService(t, factor.EngineConfig{Workers: 2}, requestDefaults{})
 	data := randomData(8, 8, 3)
 	resp, err := http.Post(url+"/v1/lu?rows=8&cols=8&block=4", "application/octet-stream", bytes.NewReader(binaryBody(data)))
 	if err != nil {
@@ -154,7 +154,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	url, _ := newTestService(t, factor.EngineConfig{Workers: 2})
+	url, _ := newTestService(t, factor.EngineConfig{Workers: 2}, requestDefaults{})
 	post := func(path, ct string, body []byte) int {
 		resp, err := http.Post(url+path, ct, bytes.NewReader(body))
 		if err != nil {
@@ -211,7 +211,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestSingularIs422(t *testing.T) {
-	url, _ := newTestService(t, factor.EngineConfig{Workers: 2})
+	url, _ := newTestService(t, factor.EngineConfig{Workers: 2}, requestDefaults{})
 	resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: make([]float64, 64)})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusUnprocessableEntity {
@@ -231,7 +231,7 @@ func TestOverloadedIs429(t *testing.T) {
 			<-gate
 			return nil
 		},
-	})
+	}, requestDefaults{})
 	blocked := make(chan int, 1)
 	go func() {
 		resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: randomData(8, 8, 4)})
@@ -253,9 +253,9 @@ func TestOverloadedIs429(t *testing.T) {
 		close(gate)
 		t.Fatalf("saturated engine: status %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
 		close(gate)
-		t.Fatal("429 response missing Retry-After")
+		t.Fatalf("429 response Retry-After = %q, want 1", ra)
 	}
 	close(gate)
 	if got := <-blocked; got != http.StatusOK {
@@ -275,7 +275,7 @@ func TestDeadlineIs504(t *testing.T) {
 			time.Sleep(200 * time.Millisecond)
 			return nil
 		},
-	})
+	}, requestDefaults{})
 	resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: randomData(8, 8, 6), TimeoutMS: 50})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
@@ -287,7 +287,7 @@ func TestDeadlineIs504(t *testing.T) {
 // cache=1 and checks the second is a hit with a byte-identical body and no
 // new pool work.
 func TestCacheHitIdenticalBytes(t *testing.T) {
-	url, eng := newTestService(t, factor.EngineConfig{Workers: 2, CacheEntries: 8})
+	url, eng := newTestService(t, factor.EngineConfig{Workers: 2, CacheEntries: 8}, requestDefaults{})
 	data := binaryBody(randomData(16, 16, 7))
 	post := func() (*http.Response, []byte) {
 		resp, err := http.Post(url+"/v1/lu?rows=16&cols=16&block=4&cache=1", "application/octet-stream", bytes.NewReader(data))
@@ -370,7 +370,7 @@ func sample(fams []obs.ParsedFamily, name string, labels ...string) (float64, bo
 }
 
 func TestMetricsEndpoint(t *testing.T) {
-	url, _ := newTestService(t, factor.EngineConfig{Workers: 2})
+	url, _ := newTestService(t, factor.EngineConfig{Workers: 2}, requestDefaults{})
 	resp := jsonLU(t, url, jsonRequest{Rows: 8, Cols: 8, Data: randomData(8, 8, 8)})
 	resp.Body.Close()
 	fams := scrape(t, url)
@@ -412,7 +412,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // started, because started counts before the engine call and the engine
 // registry is gathered first.
 func TestMetricsConsistentUnderBurst(t *testing.T) {
-	url, _ := newTestService(t, factor.EngineConfig{Workers: 2, CacheEntries: 8})
+	url, _ := newTestService(t, factor.EngineConfig{Workers: 2, CacheEntries: 8}, requestDefaults{})
 	data := binaryBody(randomData(12, 12, 11))
 	stop := make(chan struct{})
 	done := make(chan struct{})

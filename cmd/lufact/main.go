@@ -79,7 +79,7 @@ func main() {
 		if *flat {
 			ftree = factor.Flat
 		}
-		cfg := factor.EngineConfig{Workers: *workers, GrowthThreshold: *growth}
+		cfg := factor.EngineConfig{Workers: *workers}
 		var inj *fault.Injector
 		if *chaos != 0 {
 			inj = fault.New(*chaos,
@@ -94,8 +94,8 @@ func main() {
 		}
 		eng := factor.NewEngineWithConfig(cfg)
 		defer eng.Close()
-		opt := factor.Options{BlockSize: *b, PanelThreads: *tr, Tree: ftree, Trace: *crit}
-		lu, err := eng.LU(a, opt)
+		opt := factor.Options{BlockSize: *b, PanelThreads: *tr, Tree: ftree, GrowthThreshold: *growth, Trace: *crit}
+		lu, err := eng.LUCtx(context.Background(), a, opt)
 		fail(err)
 		elapsedReport(start, *m, *n)
 		pa := orig.Clone()

@@ -13,25 +13,19 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
-// batchPrep is one prepared factorization riding a coalesced submission:
-// graph hands over its task graph (consumed by the merge), finish runs the
-// request's post-execution bookkeeping with the combined submission's error.
-type batchPrep interface {
-	graph() *sched.Graph
-	finish(runErr error) error
-}
-
-// batchItem is one enqueued request; done is closed once finish has run and
-// err is set.
+// batchItem is one prepared factorization riding a coalesced submission:
+// g is its task graph (consumed by the merge), finish runs the request's
+// post-execution bookkeeping with the combined submission's error. done is
+// closed once finish has run and err is set.
 type batchItem struct {
-	prep batchPrep
-	done chan struct{}
-	err  error
+	g      *sched.Graph
+	finish func(runErr error) error
+	done   chan struct{}
+	err    error
 }
 
 // batcher accumulates eligible requests for up to window (or maxReq
@@ -56,12 +50,12 @@ func newBatcher(e *Engine, window time.Duration, maxReq int) *batcher {
 	return &batcher{e: e, window: window, maxReq: maxReq, flushes: e.met.batchFlushes}
 }
 
-// do enqueues prep and waits for its batch to run, returning the request's
-// own finish error. Abandoning on ctx cancellation does not cancel the
-// merged submission — batch-mates still complete; a wedged submission is the
-// watchdog's and CloseWithTimeout's job.
-func (b *batcher) do(ctx context.Context, prep batchPrep) error {
-	it := &batchItem{prep: prep, done: make(chan struct{})}
+// do enqueues the graph g and waits for its batch to run, returning the
+// request's own finish error. Abandoning on ctx cancellation does not
+// cancel the merged submission — batch-mates still complete; a wedged
+// submission is the watchdog's and CloseWithTimeout's job.
+func (b *batcher) do(ctx context.Context, g *sched.Graph, finish func(error) error) error {
+	it := &batchItem{g: g, finish: finish, done: make(chan struct{})}
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -125,7 +119,7 @@ func (b *batcher) flush(items []*batchItem) {
 	}()
 	graphs := make([]*sched.Graph, len(items))
 	for i, it := range items {
-		graphs[i] = it.prep.graph()
+		graphs[i] = it.g
 	}
 	merged := sched.MergeGraphs(graphs...)
 	var runErr error
@@ -138,39 +132,10 @@ func (b *batcher) flush(items []*batchItem) {
 	}
 	b.flushes.Inc()
 	for _, it := range items {
-		it.err = it.prep.finish(runErr)
+		it.err = it.finish(runErr)
 		close(it.done)
 		finished++
 	}
-}
-
-// luPrep adapts a prepared CALU request to the batchPrep interface,
-// capturing the finished result for the serving goroutine.
-type luPrep struct {
-	p   *core.PreparedLU
-	res *core.LUResult
-}
-
-func (w *luPrep) graph() *sched.Graph { return w.p.Graph() }
-
-func (w *luPrep) finish(runErr error) error {
-	res, err := w.p.Finish(runErr)
-	w.res = res
-	return err
-}
-
-// qrPrep adapts a prepared CAQR request to the batchPrep interface.
-type qrPrep struct {
-	p   *core.PreparedQR
-	res *core.QRResult
-}
-
-func (w *qrPrep) graph() *sched.Graph { return w.p.Graph() }
-
-func (w *qrPrep) finish(runErr error) error {
-	res, err := w.p.Finish(runErr)
-	w.res = res
-	return err
 }
 
 // close flushes the pending window synchronously and rejects future
@@ -186,4 +151,29 @@ func (b *batcher) close() {
 	items := b.takeLocked()
 	b.mu.Unlock()
 	b.flush(items)
+}
+
+// batchedAttempt is one coalesced attempt at op: it prepares a fresh clone
+// of a (a merged graph is consumed by its run, so a retry can never reuse
+// it), rides a shared submission, and copies the factors back into a only
+// on success. A QR result's Panels keep viewing the clone, which holds the
+// same values as a after the copy.
+func batchedAttempt[R any, P prepared[R], F any](ctx context.Context, e *Engine, op *operation[R, P, F], a *Matrix, opt Options) (R, error) {
+	var none, res R
+	clone := a.Clone()
+	p, err := op.prepare(clone, e.engineOptions(opt))
+	if err != nil {
+		return none, err
+	}
+	e.met.batched.Inc()
+	// A wait abandoned on ctx returns before the flush calls finish, so the
+	// error return must not read res.
+	if err := e.batch.do(ctx, p.Graph(), func(runErr error) (err error) {
+		res, err = p.Finish(runErr)
+		return err
+	}); err != nil {
+		return none, err
+	}
+	a.CopyFrom(clone)
+	return res, nil
 }

@@ -253,42 +253,45 @@ func cacheKey(op byte, a *Matrix, opt core.Options) (k ckey) {
 // in-flight request). With EngineConfig.CacheEntries zero the call always
 // factors and reports false.
 func (e *Engine) LUCachedCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, bool, error) {
-	if e.cache == nil || a == nil {
-		f, err := e.LUCtx(ctx, cloneForCache(a), opt)
-		return f, false, err
-	}
-	key := cacheKey('L', a, e.engineOptions(opt))
-	// Resident-hit fast path first: no fill closure, no allocation.
-	if v, ok := e.cache.get(key); ok {
-		return v.(*LUFactorization), true, nil
-	}
-	v, hit, err := e.cache.do(ctx, key, func() (any, error) {
-		return e.LUCtx(ctx, a.Clone(), opt)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*LUFactorization), hit, nil
+	return cachedOn(ctx, e, luOp, a, opt)
 }
 
 // QRCachedCtx is Engine.QRCtx behind the result cache, with the same
 // contract as LUCachedCtx.
 func (e *Engine) QRCachedCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, bool, error) {
+	return cachedOn(ctx, e, qrOp, a, opt)
+}
+
+// cachedOn serves op through the result cache: a resident hit first, then
+// a single-flight fill that factors a clone of a.
+func cachedOn[R any, P prepared[R], F any](ctx context.Context, e *Engine, op *operation[R, P, F], a *Matrix, opt Options) (F, bool, error) {
 	if e.cache == nil || a == nil {
-		f, err := e.QRCtx(ctx, cloneForCache(a), opt)
+		f, err := factorOn(ctx, e, op, cloneForCache(a), opt)
 		return f, false, err
 	}
-	key := cacheKey('Q', a, e.engineOptions(opt))
-	if v, ok := e.cache.get(key); ok {
-		return v.(*QRFactorization), true, nil
+	key, v, ok := e.cacheHit(op.key, a, opt)
+	if ok {
+		return v.(F), true, nil
 	}
 	v, hit, err := e.cache.do(ctx, key, func() (any, error) {
-		return e.QRCtx(ctx, a.Clone(), opt)
+		return factorOn(ctx, e, op, a.Clone(), opt)
 	})
 	if err != nil {
-		return nil, false, err
+		var none F
+		return none, false, err
 	}
-	return v.(*QRFactorization), hit, nil
+	return v.(F), hit, nil
+}
+
+// cacheHit computes a request's cache key and looks up a resident entry.
+// It is the whole of a steady-state hit, so it must not allocate: no fill
+// closure, and the numeric options without engineOptions' callbacks. The
+// TestLUCacheHitZeroAlloc gate and calint's hotpath-alloc check both
+// cover it.
+func (e *Engine) cacheHit(op byte, a *Matrix, opt Options) (ckey, any, bool) {
+	key := cacheKey(op, a, e.numericOptions(opt))
+	v, ok := e.cache.get(key)
+	return key, v, ok
 }
 
 // cloneForCache preserves the never-modifies-a contract on the uncached

@@ -26,7 +26,7 @@ func chaosVerify(t *testing.T, eng *Engine) {
 		}
 		rhs.Set(i, 0, s)
 	}
-	lu, err := eng.LU(orig.Clone(), Options{BlockSize: 6})
+	lu, err := eng.LUCtx(context.Background(), orig.Clone(), Options{BlockSize: 6})
 	if err != nil {
 		t.Fatalf("engine unusable after chaos: %v", err)
 	}
@@ -74,7 +74,7 @@ func TestChaosPanicNoRetriesTyped(t *testing.T) {
 	inj := fault.New(17, fault.Rule{Kind: fault.Panic, Rate: 1, Count: 1})
 	eng := NewEngineWithConfig(EngineConfig{Workers: 2, Interceptor: inj.Intercept})
 	defer eng.Close()
-	_, err := eng.LU(Random(30, 30, 2), Options{BlockSize: 6})
+	_, err := eng.LUCtx(context.Background(), Random(30, 30, 2), Options{BlockSize: 6})
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want wrapped fault.ErrInjected", err)
 	}
@@ -90,7 +90,7 @@ func TestChaosSpuriousErrorRetried(t *testing.T) {
 		Interceptor: inj.Intercept,
 	})
 	defer eng.Close()
-	if _, err := eng.LU(Random(40, 40, 3), Options{BlockSize: 8}); err != nil {
+	if _, err := eng.LUCtx(context.Background(), Random(40, 40, 3), Options{BlockSize: 8}); err != nil {
 		t.Fatalf("LU: %v", err)
 	}
 	if st := eng.Stats(); st.Retries != 1 {
@@ -196,7 +196,7 @@ func TestChaosOverloadSheds(t *testing.T) {
 				done <- errors.New("first request panicked")
 			}
 		}()
-		_, err := eng.LU(Random(20, 20, 6), Options{BlockSize: 5})
+		_, err := eng.LUCtx(context.Background(), Random(20, 20, 6), Options{BlockSize: 5})
 		done <- err
 	}()
 	// Wait for the first request to occupy the slot.
@@ -206,7 +206,7 @@ func TestChaosOverloadSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, err := eng.LU(Random(20, 20, 7), Options{BlockSize: 5})
+	_, err := eng.LUCtx(context.Background(), Random(20, 20, 7), Options{BlockSize: 5})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("second request err = %v, want ErrOverloaded", err)
 	}
@@ -304,12 +304,11 @@ func TestChaosCorruptionCampaignLU(t *testing.T) {
 			inj := fault.New(31, fault.Rule{Kind: fault.Corrupt, Match: target, Rate: 1, Count: 1, Perturb: 1e6})
 			eng := NewEngineWithConfig(EngineConfig{
 				Workers: 4, MaxRetries: 3, RetryBackoff: time.Millisecond,
-				VerifyChecksums: true,
 				PostInterceptor: inj.InterceptPost,
 			})
 			defer eng.Close()
 			orig := Random(64, 64, 41)
-			lu, err := eng.LU(orig.Clone(), Options{BlockSize: 16, PanelThreads: 2})
+			lu, err := eng.LUCtx(context.Background(), orig.Clone(), Options{BlockSize: 16, PanelThreads: 2, Verify: true})
 			if err != nil {
 				t.Fatalf("corrupted %q not healed: %v", target, err)
 			}
@@ -341,11 +340,10 @@ func TestChaosCorruptionCampaignQR(t *testing.T) {
 			inj := fault.New(37, fault.Rule{Kind: fault.Corrupt, Match: target, Rate: 1, Count: 1, Perturb: 1e6})
 			eng := NewEngineWithConfig(EngineConfig{
 				Workers: 4, MaxRetries: 3, RetryBackoff: time.Millisecond,
-				VerifyChecksums: true,
 				PostInterceptor: inj.InterceptPost,
 			})
 			defer eng.Close()
-			qr, err := eng.QR(Random(64, 32, 43), Options{BlockSize: 16, PanelThreads: 4})
+			qr, err := eng.QRCtx(context.Background(), Random(64, 32, 43), Options{BlockSize: 16, PanelThreads: 4, Verify: true})
 			if err != nil {
 				t.Fatalf("corrupted %q not healed: %v", target, err)
 			}
@@ -382,10 +380,9 @@ func TestChaosCorruptionBitFlips(t *testing.T) {
 			inj := fault.New(seed, fault.Rule{Kind: fault.Corrupt, Match: target, Rate: 1, Count: 1})
 			eng := NewEngineWithConfig(EngineConfig{
 				Workers: 4, MaxRetries: 3, RetryBackoff: time.Millisecond,
-				VerifyChecksums: true,
 				PostInterceptor: inj.InterceptPost,
 			})
-			lu, err := eng.LU(orig.Clone(), Options{BlockSize: 16, PanelThreads: 2})
+			lu, err := eng.LUCtx(context.Background(), orig.Clone(), Options{BlockSize: 16, PanelThreads: 2, Verify: true})
 			if err != nil {
 				t.Fatalf("bit flip in %q seed %d not healed: %v", target, seed, err)
 			}
@@ -416,8 +413,7 @@ func TestChaosVerifyNoFalsePositives(t *testing.T) {
 	)
 	eng := NewEngineWithConfig(EngineConfig{
 		Workers: 4, MaxRetries: 4, RetryBackoff: time.Millisecond,
-		VerifyChecksums: true,
-		Interceptor:     inj.Intercept,
+		Interceptor: inj.Intercept,
 	})
 	defer eng.Close()
 	const requests = 12
@@ -433,7 +429,7 @@ func TestChaosVerifyNoFalsePositives(t *testing.T) {
 				}
 				wg.Done()
 			}()
-			opt := Options{BlockSize: 8}
+			opt := Options{BlockSize: 8, Verify: true}
 			var err error
 			if r%2 == 0 {
 				_, err = eng.LUCtx(context.Background(), Random(48, 48, int64(r)), opt)

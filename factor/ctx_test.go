@@ -15,18 +15,7 @@ func TestCtxPreCancelledNeverPartial(t *testing.T) {
 	cancel()
 
 	a := factor.Random(80, 40, 1)
-	if lu, err := factor.LUCtx(ctx, a, factor.Options{Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("LUCtx = %v, want context.Canceled", err)
-	} else if lu != nil {
-		t.Fatal("LUCtx returned a partial result with an error")
-	}
-	if qr, err := factor.QRCtx(ctx, a, factor.Options{Workers: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("QRCtx = %v, want context.Canceled", err)
-	} else if qr != nil {
-		t.Fatal("QRCtx returned a partial result with an error")
-	}
-
-	eng := factor.NewEngine(2)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
 	defer eng.Close()
 	if lu, err := eng.LUCtx(ctx, a, factor.Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Engine.LUCtx = %v, want context.Canceled", err)
@@ -41,7 +30,7 @@ func TestCtxPreCancelledNeverPartial(t *testing.T) {
 }
 
 func TestEngineCtxDeadlineExpired(t *testing.T) {
-	eng := factor.NewEngine(2)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
 	defer eng.Close()
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
@@ -55,7 +44,7 @@ func TestEngineCtxDeadlineExpired(t *testing.T) {
 // partial result), while a concurrent uncancelled submission on the same
 // pool completes bit-identically to a one-shot run.
 func TestEngineCancelOneOfManyConcurrent(t *testing.T) {
-	eng := factor.NewEngine(4)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 4})
 	defer eng.Close()
 	opt := factor.Options{BlockSize: 8, PanelThreads: 2}
 
@@ -93,7 +82,7 @@ func TestEngineCancelOneOfManyConcurrent(t *testing.T) {
 				t.Errorf("one-shot LU: %v", err)
 				return
 			}
-			if _, err := eng.LU(shared, opt); err != nil {
+			if _, err := eng.LUCtx(context.Background(), shared, opt); err != nil {
 				t.Errorf("healthy engine LU: %v", err)
 				return
 			}
@@ -110,26 +99,26 @@ func TestEngineCancelOneOfManyConcurrent(t *testing.T) {
 
 func TestEngineCloseWithTimeout(t *testing.T) {
 	// Clean path: nothing in flight, CloseWithTimeout returns nil.
-	eng := factor.NewEngine(2)
-	if _, err := eng.LU(factor.Random(40, 20, 1), factor.Options{}); err != nil {
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
+	if _, err := eng.LUCtx(context.Background(), factor.Random(40, 20, 1), factor.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.CloseWithTimeout(time.Second); err != nil {
 		t.Fatalf("idle CloseWithTimeout = %v, want nil", err)
 	}
-	if _, err := eng.LU(factor.Random(40, 20, 2), factor.Options{}); !errors.Is(err, factor.ErrEngineClosed) {
+	if _, err := eng.LUCtx(context.Background(), factor.Random(40, 20, 2), factor.Options{}); !errors.Is(err, factor.ErrEngineClosed) {
 		t.Fatalf("LU after CloseWithTimeout = %v, want ErrEngineClosed", err)
 	}
 
 	// Cancel path: a large in-flight factorization cannot drain within the
 	// timeout, so it must come back with a wrapped DeadlineExceeded (or, if
 	// this machine is fast enough to finish first, a clean close).
-	eng2 := factor.NewEngine(2)
+	eng2 := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
 	started := make(chan struct{})
 	result := make(chan error, 1)
 	go func() {
 		close(started)
-		_, err := eng2.LU(factor.Random(1200, 600, 3), factor.Options{BlockSize: 32})
+		_, err := eng2.LUCtx(context.Background(), factor.Random(1200, 600, 3), factor.Options{BlockSize: 32})
 		result <- err
 	}()
 	<-started

@@ -14,7 +14,7 @@ import (
 	"repro/internal/sched"
 )
 
-// ErrEngineClosed is returned by Engine.LU and Engine.QR after Close.
+// ErrEngineClosed is returned by an engine's entry points after Close.
 var ErrEngineClosed = errors.New("factor: engine is closed")
 
 // ErrOverloaded is returned when admission control sheds a request: the
@@ -57,7 +57,14 @@ type TaskPostInterceptor = sched.PostInterceptor
 
 // EngineConfig configures a self-healing engine. The zero value of every
 // field is a sensible default: unbounded admission, no retries, no
-// watchdog, no growth guardrail, no interceptor.
+// watchdog, no cache, no coalescing, no interceptor.
+//
+// One rule divides the two structs: Options says what to compute, and
+// EngineConfig says how the engine serves it. Workers is the one name in
+// both, and an engine ignores the request's value — every request runs on
+// the engine's pool. A front end that wants per-deployment defaults for
+// Options fields (cmd/facsvc's -growth-threshold and -verify) fills them
+// into each request before calling the engine.
 type EngineConfig struct {
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
@@ -81,10 +88,6 @@ type EngineConfig struct {
 	// Detection is pool-wide — progress by any request counts as progress.
 	// 0 disables the watchdog.
 	StallTimeout time.Duration
-	// GrowthThreshold is the default pivot-growth guardrail threshold for
-	// LU requests that leave Options.GrowthThreshold zero; see
-	// Options.GrowthThreshold. 0 leaves the guardrail off by default.
-	GrowthThreshold float64
 	// Interceptor, when non-nil, runs before every task on the pool. Used
 	// by chaos tests to inject faults; see internal/fault.
 	Interceptor TaskInterceptor
@@ -116,12 +119,6 @@ type EngineConfig struct {
 	// (e.g. "facsvc_engine" → facsvc_engine_retries_total). Empty means
 	// "engine".
 	MetricsNamespace string
-	// VerifyChecksums arms ABFT checksum verification (Options.Verify) for
-	// every request on this engine, whether or not the request asked for it.
-	// Detections and recoveries are counted in Stats and /metrics; an
-	// unrecoverable mismatch fails the attempt with ErrCorrupted, which is
-	// transient and retried when MaxRetries allows. See doc/ROBUSTNESS.md.
-	VerifyChecksums bool
 	// MaxPanelRecomputes bounds how many corrupted CALU panels a single
 	// verified factorization may recompute locally before escalating to
 	// ErrCorrupted. 0 means 2; negative disables local recovery (every
@@ -165,9 +162,9 @@ type Stats struct {
 }
 
 // Engine is a persistent factorization service: one fixed pool of worker
-// goroutines, started by NewEngine and reused by every LU and QR call until
-// Close. Calls may be issued concurrently from any number of goroutines;
-// each factorization is an independent submission to the shared pool, with
+// goroutines, started by NewEngineWithConfig and reused by every request
+// until Close. Calls may be issued concurrently from any number of
+// goroutines; each factorization is an independent submission to the shared pool, with
 // its own priority space, trace and error capture, so a failure (or a
 // panicking task) in one request never affects the others or the pool.
 //
@@ -175,10 +172,11 @@ type Stats struct {
 // private pool per call — an Engine avoids the per-request goroutine spawn
 // and teardown, which matters when factoring many small matrices.
 //
-// An engine built with NewEngineWithConfig is additionally self-healing:
-// admission control sheds excess load (ErrOverloaded), transient failures
-// are retried with exponential backoff from a snapshot of the input, and a
-// watchdog converts silent stalls into typed ErrStalled failures.
+// As its EngineConfig asks, the engine is also self-healing: admission
+// control sheds excess load (ErrOverloaded), transient failures are retried
+// with exponential backoff from a snapshot of the input, and a watchdog
+// converts silent stalls into typed ErrStalled failures. Verified requests
+// count detected and repaired corruption in Stats.
 type Engine struct {
 	pool    *sched.Pool
 	workers int
@@ -201,16 +199,9 @@ type Engine struct {
 	stopOnce  sync.Once
 }
 
-// NewEngine starts an engine with the given number of worker goroutines
-// (<= 0 means GOMAXPROCS) and no self-healing behaviors — the historical
-// configuration. The caller owns the engine and must Close it to release
-// the workers.
-func NewEngine(workers int) *Engine {
-	return NewEngineWithConfig(EngineConfig{Workers: workers})
-}
-
-// NewEngineWithConfig starts an engine with the full robustness
-// configuration. The caller owns the engine and must Close it.
+// NewEngineWithConfig starts an engine; EngineConfig{Workers: n} is a plain
+// shared pool of n workers with no self-healing behaviors. The caller owns
+// the engine and must Close it to release the workers.
 func NewEngineWithConfig(cfg EngineConfig) *Engine {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -307,7 +298,7 @@ func (e *Engine) Registry() *obs.Registry { return e.met.reg }
 func (e *Engine) PoolMetrics() sched.PoolMetrics { return e.pool.Metrics() }
 
 // Close shuts the engine down: in-flight factorizations complete, the
-// watchdog and the workers exit, and subsequent LU/QR calls fail with
+// watchdog and the workers exit, and subsequent requests fail with
 // ErrEngineClosed. A pending coalescing window is flushed first, so batched
 // requests already accepted still complete. Close is idempotent.
 func (e *Engine) Close() {
@@ -320,7 +311,7 @@ func (e *Engine) Close() {
 
 // CloseWithTimeout shuts the engine down like Close but bounds the wait: if
 // in-flight factorizations have not drained within d, their still-queued
-// tasks are cancelled — each affected LU/QR call returns an error wrapping
+// tasks are cancelled — each affected request returns an error wrapping
 // context.DeadlineExceeded instead of blocking forever — and the workers
 // exit once the kernels already executing finish. It returns nil on a clean
 // drain and an error wrapping context.DeadlineExceeded when it had to
@@ -467,8 +458,8 @@ func (e *Engine) backoff(ctx context.Context, attempt int) error {
 
 // backoffDelay computes one retry's sleep: exponential in the attempt with
 // up to 50% random jitter, clamped to max AFTER the jitter is added —
-// RetryBackoffMax is a promise to the caller (a serving front end derives
-// Retry-After from it), so no retry may ever sleep past it.
+// RetryBackoffMax is a promise to the caller, so no retry may ever sleep
+// past it.
 func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	d := base << uint(attempt)
 	if d > max || d <= 0 {
@@ -547,27 +538,26 @@ func (e *Engine) serve(ctx context.Context, a *Matrix, run func(context.Context)
 	}
 }
 
-// engineOptions pins the scheduling knobs the engine owns: the worker
-// count is the pool's, not the caller's, the engine's default growth
-// threshold applies when the request does not set its own, and
-// VerifyChecksums arms ABFT verification regardless of the request. The
-// detection callbacks feed the engine's registered metrics; they are
-// ignored by the cache key, which hashes only the numeric knobs.
+// engineOptions is the core form of a request on this engine. The engine
+// pins Workers to its pool and, for verified requests, applies its panel
+// recompute budget and wires detections into its metrics; every other
+// field is the request's own. The cache key reads only numeric fields, so
+// the callbacks never reach it.
 func (e *Engine) engineOptions(opt Options) core.Options {
-	opt.Workers = e.workers
-	if opt.GrowthThreshold == 0 {
-		opt.GrowthThreshold = e.cfg.GrowthThreshold
-	}
-	iopt := opt.internal()
-	if e.cfg.VerifyChecksums {
-		iopt.Verify = true
-	}
+	iopt := e.numericOptions(opt)
 	if iopt.Verify {
 		iopt.MaxPanelRecomputes = e.cfg.MaxPanelRecomputes
 		iopt.OnCorruption = func(int) { e.met.corruptions.Inc() }
 		iopt.OnPanelRecompute = func(int) { e.met.panelRecomputes.Inc() }
 	}
 	return iopt
+}
+
+// numericOptions is engineOptions without the metric callbacks:
+// allocation-free, for the cache-hit path.
+func (e *Engine) numericOptions(opt Options) core.Options {
+	opt.Workers = e.workers
+	return opt.internal()
 }
 
 // mapErr rewrites internal sentinels into the engine's public vocabulary:
@@ -581,51 +571,56 @@ func mapErr(err error) error {
 	return err
 }
 
-// LU computes the communication-avoiding LU factorization of a in place on
-// the engine's shared pool. Semantics and results are identical to the
-// package-level LU with Options.Workers set to the engine's worker count,
-// plus the engine's self-healing behaviors (admission control, retries,
-// watchdog) when configured.
-func (e *Engine) LU(a *Matrix, opt Options) (*LUFactorization, error) {
-	return e.LUCtx(context.Background(), a, opt) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// QR computes the communication-avoiding QR factorization of a in place on
-// the engine's shared pool. Semantics and results are identical to the
-// package-level QR with Options.Workers set to the engine's worker count,
-// plus the engine's self-healing behaviors when configured.
-func (e *Engine) QR(a *Matrix, opt Options) (*QRFactorization, error) {
-	return e.QRCtx(context.Background(), a, opt) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// LUCtx is Engine.LU bound to a context: if ctx is cancelled or its
-// deadline expires — before submission or mid-factorization — the call
-// returns an error wrapping context.Canceled or context.DeadlineExceeded
-// and never a partial result. Kernels already executing finish; everything
-// still queued is drained unrun, the engine's pool stays fully usable, and
-// concurrent submissions are unaffected. Note that a is factored in place,
-// so its contents are unspecified after a cancelled call (a retrying
-// engine restores it between attempts, but not after the final failure).
+// LUCtx computes the communication-avoiding LU factorization of a in place
+// on the engine's shared pool. Results are bit-identical to the
+// package-level LU with Options.Workers set to the engine's worker count;
+// the engine adds its self-healing behaviors (admission control, retries,
+// watchdog) and request coalescing when configured.
+//
+// If ctx is cancelled or its deadline expires — before submission or
+// mid-factorization — the call returns an error wrapping context.Canceled
+// or context.DeadlineExceeded and never a partial result. Kernels already
+// executing finish; everything still queued is drained unrun, the engine's
+// pool stays fully usable, and concurrent submissions are unaffected. Note
+// that a is factored in place, so its contents are unspecified after a
+// cancelled call (a retrying engine restores it between attempts, but not
+// after the final failure).
 func (e *Engine) LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
+	return factorOn(ctx, e, luOp, a, opt)
+}
+
+// QRCtx computes the communication-avoiding QR factorization of a in place
+// on the engine's shared pool, with the same results and cancellation
+// semantics as Engine.LUCtx.
+func (e *Engine) QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
+	return factorOn(ctx, e, qrOp, a, opt)
+}
+
+// factorOn serves one request for op through the engine: the coalescing
+// path when the request is eligible, one pool submission otherwise, both
+// under serve's admission, watchdog and retry loop.
+func factorOn[R any, P prepared[R], F any](ctx context.Context, e *Engine, op *operation[R, P, F], a *Matrix, opt Options) (F, error) {
 	start := time.Now()
+	var res R
+	in, attempt := a, func(actx context.Context) (err error) {
+		res, err = op.run(actx, a, e.engineOptions(opt), e.pool)
+		return err
+	}
 	if e.batchEligible(a, opt) {
-		f, err := e.luBatched(ctx, a, opt)
-		if err == nil {
-			e.met.requestSeconds.With("lu").Observe(time.Since(start).Seconds())
+		// A coalesced attempt factors a private clone and copies it back
+		// only on success, so a is intact after any failure and serve
+		// needs no snapshot.
+		in, attempt = nil, func(actx context.Context) (err error) {
+			res, err = batchedAttempt(actx, e, op, a, opt)
+			return err
 		}
-		return f, err
 	}
-	var res *core.LUResult
-	err := e.serve(ctx, a, func(actx context.Context) error {
-		var rerr error
-		res, rerr = core.CALU(actx, a, e.engineOptions(opt), e.pool)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
+	if err := e.serve(ctx, in, attempt); err != nil {
+		var none F
+		return none, err
 	}
-	e.met.requestSeconds.With("lu").Observe(time.Since(start).Seconds())
-	return &LUFactorization{res: res, workers: e.workers}, nil
+	e.met.requestSeconds.With(op.label).Observe(time.Since(start).Seconds())
+	return op.handle(res, a, e.workers), nil
 }
 
 // batchEligible reports whether a request rides the coalescing path: the
@@ -637,84 +632,4 @@ func (e *Engine) batchEligible(a *Matrix, opt Options) bool {
 		a.Rows > 0 && a.Cols > 0 && a.Rows >= a.Cols &&
 		a.Rows <= e.cfg.BatchMaxDim && a.Cols <= e.cfg.BatchMaxDim &&
 		!opt.Trace
-}
-
-// QRCtx is Engine.QR bound to a context, with the same cancellation
-// semantics as Engine.LUCtx.
-func (e *Engine) QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
-	start := time.Now()
-	if e.batchEligible(a, opt) {
-		f, err := e.qrBatched(ctx, a, opt)
-		if err == nil {
-			e.met.requestSeconds.With("qr").Observe(time.Since(start).Seconds())
-		}
-		return f, err
-	}
-	var res *core.QRResult
-	err := e.serve(ctx, a, func(actx context.Context) error {
-		var rerr error
-		res, rerr = core.CAQR(actx, a, e.engineOptions(opt), e.pool)
-		return rerr
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.met.requestSeconds.With("qr").Observe(time.Since(start).Seconds())
-	return &QRFactorization{res: res, workers: e.workers}, nil
-}
-
-// luBatched serves one LU request through the coalescing path: each attempt
-// prepares a fresh clone of a (a merged graph is consumed by its run, so a
-// retry can never reuse it), rides a shared submission, and copies the
-// factors back into a only on success — so the caller's matrix is intact
-// after any failure, and serve needs no snapshot (nil).
-func (e *Engine) luBatched(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
-	var res *core.LUResult
-	err := e.serve(ctx, nil, func(actx context.Context) error {
-		clone := a.Clone()
-		prep, err := core.PrepareCALU(clone, e.engineOptions(opt))
-		if err != nil {
-			return err
-		}
-		e.met.batched.Inc()
-		w := &luPrep{p: prep}
-		if err := e.batch.do(actx, w); err != nil {
-			return err
-		}
-		a.CopyFrom(clone)
-		res = w.res
-		res.A = a
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &LUFactorization{res: res, workers: e.workers}, nil
-}
-
-// qrBatched is the QR analogue of luBatched. The result's Panels keep
-// viewing the factored clone (content-identical to a after the copy-back);
-// A points at the caller's matrix.
-func (e *Engine) qrBatched(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
-	var res *core.QRResult
-	err := e.serve(ctx, nil, func(actx context.Context) error {
-		clone := a.Clone()
-		prep, err := core.PrepareCAQR(clone, e.engineOptions(opt))
-		if err != nil {
-			return err
-		}
-		e.met.batched.Inc()
-		w := &qrPrep{p: prep}
-		if err := e.batch.do(actx, w); err != nil {
-			return err
-		}
-		a.CopyFrom(clone)
-		res = w.res
-		res.A = a
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &QRFactorization{res: res, workers: e.workers}, nil
 }

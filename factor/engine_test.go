@@ -1,6 +1,7 @@
 package factor_test
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // interleaving submissions on shared workers must not change a single bit
 // of the factors.
 func TestEngineConcurrentMixedSubmissions(t *testing.T) {
-	eng := factor.NewEngine(4)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 4})
 	defer eng.Close()
 	opt := factor.Options{BlockSize: 8, PanelThreads: 2}
 
@@ -31,7 +32,7 @@ func TestEngineConcurrentMixedSubmissions(t *testing.T) {
 				t.Errorf("one-shot LU %d: %v", i, err)
 				return
 			}
-			got, err := eng.LU(shared, opt)
+			got, err := eng.LUCtx(context.Background(), shared, opt)
 			if err != nil {
 				t.Errorf("engine LU %d: %v", i, err)
 				return
@@ -55,7 +56,7 @@ func TestEngineConcurrentMixedSubmissions(t *testing.T) {
 				t.Errorf("one-shot QR %d: %v", i, err)
 				return
 			}
-			if _, err := eng.QR(shared, opt); err != nil {
+			if _, err := eng.QRCtx(context.Background(), shared, opt); err != nil {
 				t.Errorf("engine QR %d: %v", i, err)
 				return
 			}
@@ -68,36 +69,36 @@ func TestEngineConcurrentMixedSubmissions(t *testing.T) {
 }
 
 func TestEngineReuseAcrossManyCalls(t *testing.T) {
-	eng := factor.NewEngine(2)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
 	defer eng.Close()
 	for i := 0; i < 10; i++ {
 		a := factor.Random(40, 20, int64(i))
-		if _, err := eng.LU(a, factor.Options{BlockSize: 5}); err != nil {
+		if _, err := eng.LUCtx(context.Background(), a, factor.Options{BlockSize: 5}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
 }
 
 func TestEngineClosed(t *testing.T) {
-	eng := factor.NewEngine(2)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
 	eng.Close()
 	eng.Close() // idempotent
 	a := factor.Random(20, 10, 1)
-	if _, err := eng.LU(a, factor.Options{}); !errors.Is(err, factor.ErrEngineClosed) {
+	if _, err := eng.LUCtx(context.Background(), a, factor.Options{}); !errors.Is(err, factor.ErrEngineClosed) {
 		t.Fatalf("LU on closed engine = %v, want ErrEngineClosed", err)
 	}
-	if _, err := eng.QR(a, factor.Options{}); !errors.Is(err, factor.ErrEngineClosed) {
+	if _, err := eng.QRCtx(context.Background(), a, factor.Options{}); !errors.Is(err, factor.ErrEngineClosed) {
 		t.Fatalf("QR on closed engine = %v, want ErrEngineClosed", err)
 	}
 }
 
 func TestEngineWorkersDefault(t *testing.T) {
-	eng := factor.NewEngine(0)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 0})
 	defer eng.Close()
 	if eng.Workers() < 1 {
 		t.Fatalf("Workers() = %d", eng.Workers())
 	}
-	eng3 := factor.NewEngine(3)
+	eng3 := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 3})
 	defer eng3.Close()
 	if eng3.Workers() != 3 {
 		t.Fatalf("Workers() = %d, want 3", eng3.Workers())
@@ -123,12 +124,12 @@ func TestQRShapeError(t *testing.T) {
 	if _, err := factor.LU(nil, factor.Options{}); !errors.Is(err, factor.ErrShape) {
 		t.Fatalf("LU(nil) = %v, want ErrShape", err)
 	}
-	eng := factor.NewEngine(1)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 1})
 	defer eng.Close()
-	if _, err := eng.QR(empty, factor.Options{}); !errors.Is(err, factor.ErrShape) {
+	if _, err := eng.QRCtx(context.Background(), empty, factor.Options{}); !errors.Is(err, factor.ErrShape) {
 		t.Fatalf("engine QR(empty) = %v, want ErrShape", err)
 	}
-	if _, err := eng.LU(nil, factor.Options{}); !errors.Is(err, factor.ErrShape) {
+	if _, err := eng.LUCtx(context.Background(), nil, factor.Options{}); !errors.Is(err, factor.ErrShape) {
 		t.Fatalf("engine LU(nil) = %v, want ErrShape", err)
 	}
 }

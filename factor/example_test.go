@@ -54,7 +54,7 @@ func ExampleQR() {
 // wrapped context error and never a partial factorization, while the
 // engine keeps serving other requests.
 func ExampleEngine_LUCtx() {
-	eng := factor.NewEngine(2)
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
 	defer eng.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -64,7 +64,7 @@ func ExampleEngine_LUCtx() {
 	fmt.Println("cancelled:", errors.Is(err, context.Canceled))
 
 	// The engine is unaffected: the next request factors normally.
-	lu, err := eng.LU(factor.Random(500, 100, 8), factor.Options{})
+	lu, err := eng.LUCtx(context.Background(), factor.Random(500, 100, 8), factor.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -77,8 +77,8 @@ func ExampleEngine_LUCtx() {
 // ExampleEngine_CloseWithTimeout bounds service shutdown: stop waiting for
 // stragglers after the grace period and cancel whatever is still queued.
 func ExampleEngine_CloseWithTimeout() {
-	eng := factor.NewEngine(2)
-	if _, err := eng.LU(factor.Random(200, 80, 9), factor.Options{}); err != nil {
+	eng := factor.NewEngineWithConfig(factor.EngineConfig{Workers: 2})
+	if _, err := eng.LUCtx(context.Background(), factor.Random(200, 80, 9), factor.Options{}); err != nil {
 		panic(err)
 	}
 	// Nothing in flight, so the close drains cleanly within the budget.

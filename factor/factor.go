@@ -4,9 +4,9 @@
 // Donfack, Grigori and Gupta, "Adapting communication-avoiding LU and QR
 // factorizations to multicore architectures" (IPDPS 2010).
 //
-// The entry points are LU and QR. Both factor a column-major Matrix in
-// place and return handles exposing solves, least squares, implicit-Q
-// application and the raw factors:
+// The one-shot entry points are LU and QR. Both factor a column-major
+// Matrix in place on a private worker pool and return handles exposing
+// solves, least squares, implicit-Q application and the raw factors:
 //
 //	a := factor.NewMatrix(m, n)
 //	// ... fill a ...
@@ -17,24 +17,26 @@
 //	x := qr.LeastSquares(rhs)                            // min ||A x - rhs||
 //
 // Options control the paper's tuning knobs: panel block size b, panel
-// parallelism Tr, reduction tree shape, worker count and look-ahead. The
-// zero Options value picks the paper's defaults (b = min(100, n), Tr =
-// Workers = GOMAXPROCS, binary tree, look-ahead on).
+// parallelism Tr, reduction tree shape and worker count, plus the
+// pivot-growth guardrail, tracing and checksum verification. The zero
+// Options value picks the paper's defaults (b = min(100, n), Tr = Workers
+// = GOMAXPROCS, binary tree, look-ahead on).
 //
-// A long-lived service should hold an Engine instead of calling LU/QR
-// directly: NewEngine starts one persistent worker pool, every
-// Engine.LU/Engine.QR call submits its task graph to that shared pool
-// (concurrent submissions interleave on the same workers), and Close tears
-// it down. The one-shot LU/QR helpers spin up and tear down a private pool
-// per call.
+// A long-lived service holds an Engine instead, built by
+// NewEngineWithConfig: one persistent worker pool shared by every request
+// until Close, plus admission control, retries, a stall watchdog, request
+// coalescing and a result cache as its EngineConfig asks. An engine has
+// two pairs of entry points. Engine.LUCtx/QRCtx factor a in place like
+// LU/QR, bound to a context: cancelling it or letting its deadline expire
+// returns an error wrapping the context's error, never a partial result,
+// while concurrent requests are unaffected (doc/CANCELLATION.md).
+// Engine.LUCachedCtx/QRCachedCtx go through the result cache: they never
+// modify a and return a shared, read-only handle plus whether it was a
+// hit (doc/SERVICE.md).
 //
-// Every entry point has a context-bound variant (LUCtx/QRCtx,
-// Engine.LUCtx/Engine.QRCtx) for callers that need to cancel a running
-// factorization, bound it with a deadline, or shed load: the call returns
-// an error wrapping the context's error and never a partial result, while
-// concurrent requests on the same engine are unaffected. CloseWithTimeout
-// bounds engine shutdown the same way. See doc/CANCELLATION.md for the
-// full semantics.
+// Options say what to compute and EngineConfig says how the engine serves
+// it; the two share only Workers, and an engine runs every request on its
+// own pool whatever the request's Workers says.
 package factor
 
 import (
@@ -91,22 +93,16 @@ type Options struct {
 	PanelThreads int
 	// Tree is the reduction tree shape (Binary default).
 	Tree Tree
-	// Workers is the number of scheduler goroutines; 0 means GOMAXPROCS.
+	// Workers is the number of scheduler goroutines of LU and QR's private
+	// pool; 0 means GOMAXPROCS. An Engine ignores it and uses its own pool.
 	Workers int
-	// NoLookahead disables the look-ahead priority scheme (for study; the
-	// paper's configuration keeps it on).
-	NoLookahead bool
-	// WorkStealing swaps the centralized priority scheduler for a
-	// Cilk-style work-stealing one; numerical results are identical.
-	WorkStealing bool
 	// StructuredTree switches CAQR's tree merges to the structured
 	// triangle-on-triangle kernel (faster; same R up to rounding).
 	StructuredTree bool
 	// GrowthThreshold arms LU's pivot-growth guardrail: a panel whose
 	// element growth max|U|/max|A| exceeds it is re-factored with straight
 	// partial pivoting (GEPP) and recorded in FallbackPanels. 0 disables
-	// the guardrail (or defers to EngineConfig.GrowthThreshold on an
-	// engine). QR ignores it.
+	// the guardrail. QR ignores it.
 	GrowthThreshold float64
 	// Trace records per-task execution events, retrievable via the result
 	// handles' Events fields.
@@ -120,11 +116,6 @@ type Options struct {
 	// O(mn) checksum work against the O(mn^2) factorization. See
 	// doc/ROBUSTNESS.md.
 	Verify bool
-	// VerifyTolerance scales the checksum comparison: predicted and actual
-	// column sums must agree within VerifyTolerance * m * max|A|. 0 means
-	// 1e-8 — orders of magnitude above roundoff, orders below any injected
-	// fault.
-	VerifyTolerance float64
 }
 
 func (o Options) internal() core.Options {
@@ -141,13 +132,11 @@ func (o Options) internal() core.Options {
 		PanelThreads:    tr,
 		Tree:            tslu.Tree(o.Tree),
 		Workers:         workers,
-		Lookahead:       !o.NoLookahead,
-		WorkStealing:    o.WorkStealing,
+		Lookahead:       true,
 		StructuredTree:  o.StructuredTree,
 		GrowthThreshold: o.GrowthThreshold,
 		Trace:           o.Trace,
 		Verify:          o.Verify,
-		VerifyTolerance: o.VerifyTolerance,
 	}
 }
 
@@ -167,12 +156,12 @@ var ErrSingular = tslu.ErrSingular
 // of panicking, so a long-lived service can reject bad requests cheaply.
 var ErrShape = core.ErrShape
 
-// ErrCorrupted is returned by verified factorizations (Options.Verify or
-// EngineConfig.VerifyChecksums) when an ABFT checksum mismatch survives
-// local panel recovery. The input was silently corrupted mid-run — a
-// transient fault, not a property of the matrix — so the error is
-// retryable: a self-healing engine restores the input and refactors, and a
-// serving front end maps it to 503 with Retry-After.
+// ErrCorrupted is returned by verified factorizations (Options.Verify) when
+// an ABFT checksum mismatch survives local panel recovery. The input was
+// silently corrupted mid-run — a transient fault, not a property of the
+// matrix — so the error is retryable: a self-healing engine restores the
+// input and refactors, and a serving front end maps it to 503 with
+// Retry-After.
 var ErrCorrupted = core.ErrCorrupted
 
 // TaskEvent is one traced task execution: which kind of task (P, L, U or S
@@ -205,26 +194,56 @@ func taskEvents(events []sched.Event, g *sched.Graph, workers int) []TaskEvent {
 	return out
 }
 
+// operation describes LU or QR to the serving path the two share: R is the
+// core result, P the prepared (built but unrun) request and F the public
+// handle.
+type operation[R any, P prepared[R], F any] struct {
+	label   string // request_seconds op label
+	key     byte   // cache-key operation byte
+	run     func(context.Context, *Matrix, core.Options, *sched.Pool) (R, error)
+	prepare func(*Matrix, core.Options) (P, error)
+	// handle binds a finished result to the caller's matrix a.
+	handle func(res R, a *Matrix, workers int) F
+}
+
+// prepared is core.PreparedLU or core.PreparedQR.
+type prepared[R any] interface {
+	Graph() *sched.Graph
+	Finish(runErr error) (R, error)
+}
+
+var (
+	luOp = &operation[*core.LUResult, *core.PreparedLU, *LUFactorization]{
+		label: "lu", key: 'L', run: core.CALU, prepare: core.PrepareCALU,
+		handle: func(res *core.LUResult, a *Matrix, workers int) *LUFactorization {
+			res.A = a
+			return &LUFactorization{res: res, workers: workers}
+		},
+	}
+	qrOp = &operation[*core.QRResult, *core.PreparedQR, *QRFactorization]{
+		label: "qr", key: 'Q', run: core.CAQR, prepare: core.PrepareCAQR,
+		handle: func(res *core.QRResult, a *Matrix, workers int) *QRFactorization {
+			res.A = a
+			return &QRFactorization{res: res, workers: workers}
+		},
+	}
+)
+
+// factorOnce runs op on a private pool of opt.Workers goroutines.
+func factorOnce[R any, P prepared[R], F any](op *operation[R, P, F], a *Matrix, opt Options) (F, error) {
+	iopt := opt.internal()
+	res, err := op.run(context.Background(), a, iopt, nil) // calint:ignore ctx-propagation -- documented ctx-free entry point
+	if err != nil {
+		var none F
+		return none, err
+	}
+	return op.handle(res, a, iopt.Workers), nil
+}
+
 // LU computes the communication-avoiding LU factorization with tournament
 // pivoting of a (m x n, m >= n), in place. The returned handle exposes
 // solves and the permutation; a itself holds L and U.
-func LU(a *Matrix, opt Options) (*LUFactorization, error) {
-	return LUCtx(context.Background(), a, opt) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// LUCtx is LU bound to a context: if ctx is cancelled or its deadline
-// expires the factorization stops dispatching tasks, drains, and returns an
-// error wrapping context.Canceled or context.DeadlineExceeded — never a
-// partial result. a is factored in place, so its contents are unspecified
-// after a cancelled call.
-func LUCtx(ctx context.Context, a *Matrix, opt Options) (*LUFactorization, error) {
-	iopt := opt.internal()
-	res, err := core.CALU(ctx, a, iopt, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &LUFactorization{res: res, workers: iopt.Workers}, nil
-}
+func LU(a *Matrix, opt Options) (*LUFactorization, error) { return factorOnce(luOp, a, opt) }
 
 // Factors returns the in-place factor matrix (L below the unit diagonal,
 // U on and above).
@@ -263,20 +282,7 @@ type QRFactorization struct {
 // QR computes the communication-avoiding QR factorization of a (m x n,
 // m >= n), in place. Malformed inputs are reported as an ErrShape-wrapped
 // error.
-func QR(a *Matrix, opt Options) (*QRFactorization, error) {
-	return QRCtx(context.Background(), a, opt) // calint:ignore ctx-propagation -- documented ctx-free entry point
-}
-
-// QRCtx is QR bound to a context, with the same cancellation semantics as
-// LUCtx: an error wrapping the context's error, never a partial result.
-func QRCtx(ctx context.Context, a *Matrix, opt Options) (*QRFactorization, error) {
-	iopt := opt.internal()
-	res, err := core.CAQR(ctx, a, iopt, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &QRFactorization{res: res, workers: iopt.Workers}, nil
-}
+func QR(a *Matrix, opt Options) (*QRFactorization, error) { return factorOnce(qrOp, a, opt) }
 
 // R returns a copy of the n x n upper-triangular factor.
 func (f *QRFactorization) R() *Matrix { return f.res.R() }

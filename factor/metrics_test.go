@@ -82,10 +82,10 @@ func TestEngineStatsAndRegistryShareStorage(t *testing.T) {
 // TestEnginePoolMetrics checks the pool instrumentation surfaces through
 // the engine.
 func TestEnginePoolMetrics(t *testing.T) {
-	eng := NewEngine(2)
+	eng := NewEngineWithConfig(EngineConfig{Workers: 2})
 	defer eng.Close()
 	a := Random(64, 32, 3)
-	if _, err := eng.LU(a, Options{BlockSize: 8, PanelThreads: 2}); err != nil {
+	if _, err := eng.LUCtx(context.Background(), a, Options{BlockSize: 8, PanelThreads: 2}); err != nil {
 		t.Fatal(err)
 	}
 	pm := eng.PoolMetrics()
@@ -97,10 +97,10 @@ func TestEnginePoolMetrics(t *testing.T) {
 // TestCriticalPathSummary checks the public critical-path API on a traced
 // engine run.
 func TestCriticalPathSummary(t *testing.T) {
-	eng := NewEngine(4)
+	eng := NewEngineWithConfig(EngineConfig{Workers: 4})
 	defer eng.Close()
 	a := Random(120, 60, 9)
-	f, err := eng.LU(a, Options{BlockSize: 12, PanelThreads: 2, Trace: true})
+	f, err := eng.LUCtx(context.Background(), a, Options{BlockSize: 12, PanelThreads: 2, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestCriticalPathSummary(t *testing.T) {
 	}
 
 	// Untraced runs must error, not panic.
-	f2, err := eng.LU(Random(64, 32, 3), Options{BlockSize: 8})
+	f2, err := eng.LUCtx(context.Background(), Random(64, 32, 3), Options{BlockSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

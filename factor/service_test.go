@@ -7,6 +7,7 @@ package factor
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -61,7 +62,7 @@ func TestServeChecksContextBeforeAdmission(t *testing.T) {
 	// Saturate the single slot with a request blocked inside the pool.
 	first := make(chan error, 1)
 	go func() {
-		_, err := eng.LU(Random(16, 16, 1), Options{BlockSize: 4})
+		_, err := eng.LUCtx(context.Background(), Random(16, 16, 1), Options{BlockSize: 4})
 		first <- err
 	}()
 	for i := 0; eng.Stats().InFlight == 0; i++ {
@@ -106,105 +107,111 @@ func TestServeChecksContextBeforeAdmission(t *testing.T) {
 	}
 }
 
-// TestBatchedMatchesUnbatched checks the coalescing path end to end: a
-// burst of eligible requests on a batching engine produces factors
-// bit-identical to an unbatched engine's, rides fewer submissions than
-// requests, and leaves the callers' matrices holding the factors.
-func TestBatchedMatchesUnbatched(t *testing.T) {
-	opt := Options{BlockSize: 8}
+// TestEntryPointsBitIdentical checks that every LU and QR entry point
+// computes the same bits for the same Options: the package-level call,
+// Engine.*Ctx, the coalescing path and the cache (miss and hit). A
+// coalesced burst must also ride no more submissions than requests and
+// leave the callers' matrices holding the factors.
+func TestEntryPointsBitIdentical(t *testing.T) {
+	t.Run("lu", func(t *testing.T) {
+		checkEntryPoints(t, LU, (*Engine).LUCtx, (*Engine).LUCachedCtx, func(f *LUFactorization) []float64 {
+			out := values(f.res.A)
+			for _, p := range f.PermutationVector() {
+				out = append(out, float64(p))
+			}
+			return out
+		})
+	})
+	t.Run("qr", func(t *testing.T) {
+		checkEntryPoints(t, QR, (*Engine).QRCtx, (*Engine).QRCachedCtx, func(f *QRFactorization) []float64 {
+			// Q^T c reads the tree reflectors held by the handle.
+			c := Random(f.res.A.Rows, 1, 99)
+			f.ApplyQT(c)
+			return append(values(f.res.A), values(c)...)
+		})
+	})
+}
+
+// values lists m's entries column by column.
+func values(m *Matrix) []float64 {
+	var out []float64
+	for j := 0; j < m.Cols; j++ {
+		out = append(out, m.Data[j*m.Stride:j*m.Stride+m.Rows]...)
+	}
+	return out
+}
+
+// checkEntryPoints runs one operation through every entry point; bits
+// reads a result (including the caller's matrix, which holds the factors).
+func checkEntryPoints[F any](t *testing.T,
+	once func(*Matrix, Options) (F, error),
+	onEngine func(*Engine, context.Context, *Matrix, Options) (F, error),
+	cached func(*Engine, context.Context, *Matrix, Options) (F, bool, error),
+	bits func(F) []float64,
+) {
+	ctx := context.Background()
+	opt := Options{BlockSize: 8, PanelThreads: 2, Workers: 2}
 	const n = 6
 	inputs := make([]*Matrix, n)
+	want := make([][]float64, n)
 	for i := range inputs {
 		inputs[i] = Random(48, 24+(i%2)*8, int64(i+1))
-	}
-
-	plain := NewEngine(2)
-	want := make([]*Matrix, n)
-	wantPerm := make([][]int, n)
-	for i, in := range inputs {
-		a := in.Clone()
-		f, err := plain.LU(a, opt)
+		f, err := once(inputs[i].Clone(), opt)
 		if err != nil {
-			t.Fatalf("unbatched LU %d: %v", i, err)
+			t.Fatalf("package-level %d: %v", i, err)
 		}
-		want[i] = a
-		wantPerm[i] = f.PermutationVector()
+		want[i] = bits(f)
 	}
-	plain.Close()
+	same := func(path string, i int, f F) {
+		t.Helper()
+		if !slices.Equal(bits(f), want[i]) {
+			t.Errorf("%s %d: result differs from the package-level call", path, i)
+		}
+	}
 
-	eng := NewEngineWithConfig(EngineConfig{
-		Workers:     2,
-		BatchWindow: 20 * time.Millisecond,
-	})
+	eng := NewEngineWithConfig(EngineConfig{Workers: 2, CacheEntries: n})
 	defer eng.Close()
-	got := make([]*Matrix, n)
-	perms := make([][]int, n)
+	for i, in := range inputs {
+		f, err := onEngine(eng, ctx, in.Clone(), opt)
+		if err != nil {
+			t.Fatalf("engine %d: %v", i, err)
+		}
+		same("engine", i, f)
+		orig := in.Clone()
+		for _, wantHit := range []bool{false, true} {
+			f, hit, err := cached(eng, ctx, in, opt)
+			if err != nil || hit != wantHit {
+				t.Fatalf("cached %d: hit=%v err=%v, want hit=%v", i, hit, err, wantHit)
+			}
+			same("cached", i, f)
+		}
+		if !in.Equal(orig) {
+			t.Fatalf("cached %d modified its input", i)
+		}
+	}
+
+	batching := NewEngineWithConfig(EngineConfig{Workers: 2, BatchWindow: 20 * time.Millisecond})
+	defer batching.Close()
+	results := make([]F, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := range inputs {
-		i := i
-		got[i] = inputs[i].Clone()
+		a := inputs[i].Clone()
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			f, err := eng.LU(got[i], opt)
-			errs[i] = err
-			if err == nil {
-				perms[i] = f.PermutationVector()
-			}
-		}()
+			results[i], errs[i] = onEngine(batching, ctx, a, opt)
+		}(i)
 	}
 	wg.Wait()
 	for i := range inputs {
 		if errs[i] != nil {
-			t.Fatalf("batched LU %d: %v", i, errs[i])
+			t.Fatalf("batched %d: %v", i, errs[i])
 		}
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("batched LU %d factors differ from unbatched", i)
-		}
-		for k := range perms[i] {
-			if perms[i][k] != wantPerm[i][k] {
-				t.Fatalf("batched LU %d permutation differs at %d", i, k)
-			}
-		}
+		same("batched", i, results[i])
 	}
-
-	s := eng.Stats()
-	if s.BatchedRequests != n {
-		t.Fatalf("BatchedRequests = %d, want %d", s.BatchedRequests, n)
-	}
-	if s.BatchFlushes < 1 || s.BatchFlushes > n {
-		t.Fatalf("BatchFlushes = %d, want within [1, %d]", s.BatchFlushes, n)
-	}
-}
-
-// TestBatchedQRMatchesUnbatched covers the QR side of coalescing.
-func TestBatchedQRMatchesUnbatched(t *testing.T) {
-	opt := Options{BlockSize: 8}
-	in := Random(40, 24, 9)
-
-	plain := NewEngine(2)
-	want := in.Clone()
-	if _, err := plain.QR(want, opt); err != nil {
-		t.Fatalf("unbatched QR: %v", err)
-	}
-	plain.Close()
-
-	eng := NewEngineWithConfig(EngineConfig{Workers: 2, BatchWindow: 5 * time.Millisecond})
-	defer eng.Close()
-	got := in.Clone()
-	f, err := eng.QR(got, opt)
-	if err != nil {
-		t.Fatalf("batched QR: %v", err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("batched QR factors differ from unbatched")
-	}
-	if r := f.R(); r == nil {
-		t.Fatal("batched QR handle has no R")
-	}
-	if eng.Stats().BatchedRequests != 1 {
-		t.Fatalf("BatchedRequests = %d, want 1", eng.Stats().BatchedRequests)
+	if s := batching.Stats(); s.BatchedRequests != n || s.BatchFlushes < 1 || s.BatchFlushes > n {
+		t.Fatalf("BatchedRequests = %d, BatchFlushes = %d; want %d and within [1, %d]", s.BatchedRequests, s.BatchFlushes, n, n)
 	}
 }
 
@@ -217,15 +224,15 @@ func TestBatchIneligibleBypasses(t *testing.T) {
 	defer eng.Close()
 
 	wide := Random(8, 16, 1)
-	if _, err := eng.LU(wide, Options{BlockSize: 4}); err != nil {
+	if _, err := eng.LUCtx(context.Background(), wide, Options{BlockSize: 4}); err != nil {
 		t.Fatalf("wide LU on batching engine: %v", err)
 	}
 	big := Random(64, 48, 2)
-	if _, err := eng.LU(big, Options{BlockSize: 8}); err != nil {
+	if _, err := eng.LUCtx(context.Background(), big, Options{BlockSize: 8}); err != nil {
 		t.Fatalf("oversize LU on batching engine: %v", err)
 	}
 	traced := Random(24, 24, 3)
-	f, err := eng.LU(traced, Options{BlockSize: 8, Trace: true})
+	f, err := eng.LUCtx(context.Background(), traced, Options{BlockSize: 8, Trace: true})
 	if err != nil {
 		t.Fatalf("traced LU on batching engine: %v", err)
 	}
@@ -252,8 +259,8 @@ func TestBatchFailureIsolated(t *testing.T) {
 	var wg sync.WaitGroup
 	var singErr, goodErr error
 	wg.Add(2)
-	go func() { defer wg.Done(); _, singErr = eng.LU(sing, Options{BlockSize: 4}) }()
-	go func() { defer wg.Done(); _, goodErr = eng.LU(good, Options{BlockSize: 4}) }()
+	go func() { defer wg.Done(); _, singErr = eng.LUCtx(context.Background(), sing, Options{BlockSize: 4}) }()
+	go func() { defer wg.Done(); _, goodErr = eng.LUCtx(context.Background(), good, Options{BlockSize: 4}) }()
 	wg.Wait()
 
 	if !errors.Is(singErr, ErrSingular) {
@@ -274,7 +281,7 @@ func TestBatchDrainOnClose(t *testing.T) {
 	a := Random(20, 20, 5)
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.LU(a, Options{BlockSize: 5})
+		_, err := eng.LUCtx(context.Background(), a, Options{BlockSize: 5})
 		done <- err
 	}()
 	// Wait for the request to be sitting in the window.
@@ -398,7 +405,7 @@ func TestCacheFailuresNotCached(t *testing.T) {
 // TestCacheDisabledFallback checks the cached entry points still work (and
 // still never modify the input) on an engine with no cache configured.
 func TestCacheDisabledFallback(t *testing.T) {
-	eng := NewEngine(2)
+	eng := NewEngineWithConfig(EngineConfig{Workers: 2})
 	defer eng.Close()
 	a := Random(16, 16, 8)
 	orig := a.Clone()

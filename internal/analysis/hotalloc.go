@@ -61,6 +61,10 @@ var hotRoots = []struct{ pkg, name string }{
 	{"internal/abft", "VerifyLUPanel"},
 	{"internal/abft", "VerifyGEPPPanel"},
 	{"internal/abft", "VerifyQRColumns"},
+	// A result-cache hit is the whole of a repeated service request;
+	// TestLUCacheHitZeroAlloc is the runtime half of this root.
+	{"factor", "cacheHit"},
+	{"factor", "cacheKey"},
 }
 
 // hotExcludedPkgs are packages whose functions are the sanctioned
@@ -70,7 +74,7 @@ var hotExcludedPkgs = []string{"internal/scratch"}
 func hotpathAllocCheck() *ProgramCheck {
 	return &ProgramCheck{
 		Name: "hotpath-alloc",
-		Doc:  "functions reachable from Dgemm's pack/kernel loops, Dtrsm and sched.runTask must not allocate per call",
+		Doc:  "functions reachable from Dgemm's pack/kernel loops, Dtrsm, sched.runTask, the ABFT verifiers and the result-cache hit must not allocate per call",
 		Run:  runHotpathAlloc,
 	}
 }

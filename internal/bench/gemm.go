@@ -10,13 +10,13 @@ package bench
 // square speedup staying above a floor.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"time"
 
-	"repro/factor"
 	"repro/internal/baseline"
 	"repro/internal/blas"
 )
@@ -193,7 +193,7 @@ func fillSeq(n int) []float64 {
 
 // RunGemmReport measures the full trajectory. minSample bounds per-case
 // noise (CI smoke uses a short sample, the checked-in report a longer one).
-func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
+func RunGemmReport(ctx context.Context, cfg Config, minSample time.Duration) *GemmReport {
 	mc, kc, nc := blas.BlockSizes()
 	rep := &GemmReport{
 		Kernel: blas.KernelName(),
@@ -241,38 +241,17 @@ func RunGemmReport(cfg Config, minSample time.Duration) *GemmReport {
 		}
 		rep.Trsm = append(rep.Trsm, tc)
 	}
-	rep.EngineReuse = runEngineReuse(cfg)
+	rep.EngineReuse = runEngineReuse(ctx, cfg)
 	return rep
 }
 
 // runEngineReuse times the BenchmarkEngineReuse workload: repeated
 // 1000 x 200 blocked CALU through a persistent engine, clone excluded.
-func runEngineReuse(cfg Config) EngineReuseResult {
-	const (
-		m, n, nb = 1000, 200, 100
-		iters    = 10
-	)
-	progress(cfg, "engine-reuse: %d iterations of %dx%d LU...", iters, m, n)
-	orig := factor.Random(m, n, 3)
-	opt := factor.Options{BlockSize: nb, PanelThreads: 4}
-	eng := factor.NewEngine(4)
-	defer eng.Close()
-	// Warm the pools as the benchmark's first iterations would.
-	if _, err := eng.LU(orig.Clone(), opt); err != nil {
-		panic(fmt.Sprintf("bench: engine warmup LU failed: %v", err))
-	}
-	var total time.Duration
-	for i := 0; i < iters; i++ {
-		a := orig.Clone()
-		start := time.Now()
-		if _, err := eng.LU(a, opt); err != nil {
-			panic(fmt.Sprintf("bench: engine LU failed: %v", err))
-		}
-		total += time.Since(start)
-	}
+func runEngineReuse(ctx context.Context, cfg Config) EngineReuseResult {
+	progress(cfg, "engine-reuse: %d iterations of %dx%d LU...", reuseIters, reuseM, reuseN)
 	return EngineReuseResult{
-		M: m, N: n, BlockSize: nb, Iterations: iters,
-		MsPerOp: total.Seconds() * 1e3 / iters,
+		M: reuseM, N: reuseN, BlockSize: reuseB, Iterations: reuseIters,
+		MsPerOp: engineReuseMs(ctx, reuseOptions),
 	}
 }
 

@@ -11,6 +11,9 @@
 // The package provides both closed-form counts (PanelSyncs, FactorSyncs)
 // and graph-derived metrics (Analyze) computed from the actual task DAGs,
 // so the theory can be checked against the implementation.
+//
+// internal/bench is its only caller: it backs the `cabench -exp comm`
+// table cited in EXPERIMENTS.md.
 package comm
 
 import (

@@ -9,6 +9,9 @@
 // exchanges O(b log P) — one reduction per column. The tests assert both
 // counts against the implementations, and that the distributed tournament
 // elects exactly the same pivots as the shared-memory tslu package.
+//
+// internal/bench is its only caller: it backs the `cabench -exp dist`
+// table cited in EXPERIMENTS.md.
 package dist
 
 import (

@@ -14,6 +14,9 @@
 //     column: ~b * m*b words when the panel exceeds fast memory.
 //
 // The tests assert both counts, quantifying the sequential optimality gap.
+//
+// internal/bench is its only caller: it backs the `cabench -exp ooc`
+// table cited in EXPERIMENTS.md.
 package ooc
 
 import "fmt"
