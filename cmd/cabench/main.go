@@ -18,9 +18,9 @@
 // -gemm runs the kernel-level performance trajectory instead: packed
 // Goto-style Dgemm against the frozen baseline across square and panel
 // shapes, the fused Dtrsm at CALU's L-block and U-block shapes against
-// baseline.RefTrsm, plus the engine-reuse end-to-end LU, optionally
-// writing the
-// BENCH_gemm.json report and failing (exit 1) when the square-512 speedup
+// baseline.RefTrsm, the masked-pack Dtrmm and lapack.Larfb at CAQR's
+// update shapes against the reference kernels, plus the engine-reuse
+// end-to-end LU, optionally writing the BENCH_gemm.json report and failing (exit 1) when the square-512 speedup
 // drops below -min-speedup. CI's benchmark-smoke job runs exactly that
 // gate; the checked-in BENCH_gemm.json is regenerated with a longer
 // -sample for stable numbers.

@@ -51,6 +51,10 @@ var hotRoots = []struct{ pkg, name string }{
 	{"internal/blas", "macroKernel"},
 	// The fused GEMM-TRSM runs once per L and U task of every CALU panel.
 	{"internal/blas", "Dtrsm"},
+	// The masked-pack Dtrmm and the block-reflector apply built on it run
+	// in every CAQR trailing-update task (S) and every GEQR3 recursion.
+	{"internal/blas", "Dtrmm"},
+	{"internal/lapack", "Larfb"},
 	{"internal/sched", "runTask"},
 	// ABFT checksum verification runs once per panel inside the task graph
 	// (V and finalize tasks); an allocation here taxes every verified
@@ -74,7 +78,7 @@ var hotExcludedPkgs = []string{"internal/scratch"}
 func hotpathAllocCheck() *ProgramCheck {
 	return &ProgramCheck{
 		Name: "hotpath-alloc",
-		Doc:  "functions reachable from Dgemm's pack/kernel loops, Dtrsm, sched.runTask, the ABFT verifiers and the result-cache hit must not allocate per call",
+		Doc:  "functions reachable from Dgemm's pack/kernel loops, Dtrsm, Dtrmm, lapack.Larfb, sched.runTask, the ABFT verifiers and the result-cache hit must not allocate per call",
 		Run:  runHotpathAlloc,
 	}
 }

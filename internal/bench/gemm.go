@@ -3,8 +3,10 @@ package bench
 // GEMM performance trajectory: the packed Goto-style Dgemm (internal/blas)
 // against the frozen pre-refactor reference (internal/baseline), the fused
 // GEMM-TRSM Dtrsm at the two shapes CALU issues against baseline.RefTrsm,
-// plus the BenchmarkEngineReuse-shaped end-to-end LU as the workload-level
-// check.
+// the masked-pack Dtrmm at the shapes CAQR issues against baseline.RefTrmm,
+// lapack.Larfb at CAQR's leaf and tree-node shapes against the same
+// algorithm on the reference kernels, plus the BenchmarkEngineReuse-shaped
+// end-to-end LU as the workload-level check.
 // cmd/cabench serializes the report to BENCH_gemm.json so the perf
 // trajectory is checked in alongside the code, and CI gates on the 512
 // square speedup staying above a floor.
@@ -19,6 +21,8 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/blas"
+	"repro/internal/lapack"
+	"repro/internal/matrix"
 )
 
 // GemmCase is one measured GEMM shape.
@@ -40,16 +44,34 @@ type GemmCase struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// TrsmCase is one measured Dtrsm shape: m x n right-hand side B against
+// TriCase is one measured Dtrsm or Dtrmm shape: m x n operand B against
 // the triangle of order m (side "L") or n (side "R").
-type TrsmCase struct {
-	// Name labels the shape (calu-l-block, calu-u-block).
+type TriCase struct {
+	// Name labels the shape (calu-l-block, larfb-v1, ...).
 	Name string `json:"name"`
 	Side string `json:"side"`
 	M    int    `json:"m"`
 	N    int    `json:"n"`
-	// PackedGFlops is Dtrsm's rate, BaselineGFlops baseline.RefTrsm's, both
-	// counting m*n*order flops and measured in this run.
+	// PackedGFlops is the packed kernel's rate, BaselineGFlops
+	// baseline.RefTrsm's or RefTrmm's, both counting m*n*order flops and
+	// measured in this run.
+	PackedGFlops   float64 `json:"packed_gflops"`
+	BaselineGFlops float64 `json:"baseline_gflops"`
+	// Speedup is PackedGFlops / BaselineGFlops.
+	Speedup float64 `json:"speedup"`
+}
+
+// LarfbCase is one measured block-reflector apply Q^T*C: V is M x K, C is
+// M x N.
+type LarfbCase struct {
+	// Name labels the shape (caqr-leaf, caqr-node).
+	Name string `json:"name"`
+	M    int    `json:"m"`
+	K    int    `json:"k"`
+	N    int    `json:"n"`
+	// PackedGFlops is lapack.Larfb's rate, BaselineGFlops the same
+	// algorithm's on baseline.RefGemm/RefTrmm with a heap workspace, both
+	// counting 4*m*n*k - n*k^2 flops and measured in this run.
 	PackedGFlops   float64 `json:"packed_gflops"`
 	BaselineGFlops float64 `json:"baseline_gflops"`
 	// Speedup is PackedGFlops / BaselineGFlops.
@@ -83,7 +105,11 @@ type GemmReport struct {
 	// actually issue.
 	Cases []GemmCase `json:"cases"`
 	// Trsm covers the triangular solves CALU issues per panel.
-	Trsm []TrsmCase `json:"trsm"`
+	Trsm []TriCase `json:"trsm"`
+	// Trmm covers the triangular multiplies of CAQR's updates.
+	Trmm []TriCase `json:"trmm"`
+	// Larfb covers CAQR's trailing-update kernel.
+	Larfb []LarfbCase `json:"larfb"`
 	// EngineReuse is the end-to-end LU workload measurement.
 	EngineReuse EngineReuseResult `json:"engine_reuse"`
 }
@@ -124,10 +150,38 @@ var trsmShapes = []struct {
 	{"calu-u-block", blas.Left, blas.Lower, blas.Unit, 100, 400},
 }
 
-// timeTrsm measures one trsm implementation, restoring B before every
-// solve (outside the timed interval) so repeated solves see the same
+// trmmShapes are the multiplies of a CAQR update at b = 100: Larfb's
+// W = V1^T W (unit lower, transposed) and W = T^T W (upper, transposed)
+// against a 100-column block, and GEQR3's T12 = T12 * V2 (right, unit
+// lower) at the top of a 100-wide recursion.
+var trmmShapes = []struct {
+	name  string
+	side  blas.Side
+	uplo  blas.Uplo
+	trans blas.Transpose
+	diag  blas.Diag
+	m, n  int
+}{
+	{"larfb-v1", blas.Left, blas.Lower, blas.Trans, blas.Unit, 100, 100},
+	{"larfb-t", blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 100, 100},
+	{"geqr3-t12", blas.Right, blas.Lower, blas.NoTrans, blas.Unit, 50, 50},
+}
+
+// larfbShapes are CAQR's trailing-update applies at b = 100 on the square
+// workload: a TSQR leaf (half of a 1400-row panel) and a binary-tree node
+// stacking two R factors, each against one 100-column block.
+var larfbShapes = []struct {
+	name    string
+	m, k, n int
+}{
+	{"caqr-leaf", 700, 100, 100},
+	{"caqr-node", 200, 100, 100},
+}
+
+// timeTri measures one trsm or trmm implementation, restoring B before
+// every call (outside the timed interval) so repeated calls see the same
 // operand, until the timed total exceeds minSample.
-func timeTrsm(side blas.Side, uplo blas.Uplo, diag blas.Diag, m, n int, minSample time.Duration,
+func timeTri(side blas.Side, m, n int, minSample time.Duration,
 	run func(a []float64, lda int, b []float64)) float64 {
 	na := m
 	if side == blas.Right {
@@ -155,6 +209,62 @@ func timeTrsm(side blas.Side, uplo blas.Uplo, diag blas.Diag, m, n int, minSampl
 		reps++
 	}
 	return gflops(float64(m)*float64(n)*float64(na)*float64(reps-1), el.Seconds())
+}
+
+// newTriCase records one triangular-kernel measurement.
+func newTriCase(name string, side blas.Side, m, n int, packed, base float64) TriCase {
+	tc := TriCase{Name: name, Side: "R", M: m, N: n, PackedGFlops: packed, BaselineGFlops: base}
+	if side == blas.Left {
+		tc.Side = "L"
+	}
+	if base > 0 {
+		tc.Speedup = packed / base
+	}
+	return tc
+}
+
+// timeLarfb measures one Q^T*C implementation for an m x k reflector block
+// from GEQR3 against an m x n C. Q is orthogonal, so repeated applies keep
+// C's scale and need no restore.
+func timeLarfb(m, k, n int, minSample time.Duration, run func(trans blas.Transpose, v, t, c *matrix.Dense)) float64 {
+	v := matrix.FromColMajor(m, k, m, fillSeq(m*k))
+	tau := make([]float64, k)
+	t := matrix.New(k, k)
+	lapack.GEQR3(v, tau, t)
+	c := matrix.FromColMajor(m, n, m, fillSeq(m*n))
+	run(blas.Trans, v, t, c) // warm pools and pages
+	reps := 0
+	start := time.Now()
+	for {
+		run(blas.Trans, v, t, c)
+		reps++
+		if el := time.Since(start); el >= minSample && reps >= 2 {
+			flops := 4*float64(m)*float64(n)*float64(k) - float64(n)*float64(k)*float64(k)
+			return gflops(flops*float64(reps), el.Seconds())
+		}
+	}
+}
+
+// refLarfb is lapack.Larfb's algorithm on the frozen reference kernels,
+// with its workspace on the heap as before it was pooled: the baseline of
+// the Larfb rows.
+func refLarfb(trans blas.Transpose, v, t, c *matrix.Dense) {
+	m, k, n := v.Rows, v.Cols, c.Cols
+	w := make([]float64, k*n)
+	for j := 0; j < n; j++ {
+		copy(w[j*k:j*k+k], c.Data[j*c.Stride:j*c.Stride+k])
+	}
+	baseline.RefTrmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, k, n, 1, v.Data, v.Stride, w, k)
+	baseline.RefGemm(blas.Trans, blas.NoTrans, k, n, m-k, 1, v.Data[k:], v.Stride, c.Data[k:], c.Stride, 1, w, k)
+	baseline.RefTrmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, n, 1, t.Data, t.Stride, w, k)
+	baseline.RefGemm(blas.NoTrans, blas.NoTrans, m-k, n, k, -1, v.Data[k:], v.Stride, w, k, 1, c.Data[k:], c.Stride)
+	baseline.RefTrmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, k, n, 1, v.Data, v.Stride, w, k)
+	for j := 0; j < n; j++ {
+		cj := c.Data[j*c.Stride : j*c.Stride+k]
+		for i, x := range w[j*k : j*k+k] {
+			cj[i] -= x
+		}
+	}
 }
 
 // timeGemm measures one gemm implementation at m x n x k (with op(A) = Aᵀ
@@ -225,21 +335,36 @@ func RunGemmReport(ctx context.Context, cfg Config, minSample time.Duration) *Ge
 	}
 	for _, s := range trsmShapes {
 		progress(cfg, "trsm %s: packed...", s.name)
-		packed := timeTrsm(s.side, s.uplo, s.diag, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
+		packed := timeTri(s.side, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
 			blas.Dtrsm(s.side, s.uplo, blas.NoTrans, s.diag, s.m, s.n, 1, a, lda, b, s.m)
 		})
 		progress(cfg, "trsm %s: baseline...", s.name)
-		base := timeTrsm(s.side, s.uplo, s.diag, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
+		base := timeTri(s.side, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
 			baseline.RefTrsm(s.side, s.uplo, blas.NoTrans, s.diag, s.m, s.n, 1, a, lda, b, s.m)
 		})
-		tc := TrsmCase{Name: s.name, Side: "R", M: s.m, N: s.n, PackedGFlops: packed, BaselineGFlops: base}
-		if s.side == blas.Left {
-			tc.Side = "L"
-		}
+		rep.Trsm = append(rep.Trsm, newTriCase(s.name, s.side, s.m, s.n, packed, base))
+	}
+	for _, s := range trmmShapes {
+		progress(cfg, "trmm %s: packed...", s.name)
+		packed := timeTri(s.side, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
+			blas.Dtrmm(s.side, s.uplo, s.trans, s.diag, s.m, s.n, 1, a, lda, b, s.m)
+		})
+		progress(cfg, "trmm %s: baseline...", s.name)
+		base := timeTri(s.side, s.m, s.n, minSample, func(a []float64, lda int, b []float64) {
+			baseline.RefTrmm(s.side, s.uplo, s.trans, s.diag, s.m, s.n, 1, a, lda, b, s.m)
+		})
+		rep.Trmm = append(rep.Trmm, newTriCase(s.name, s.side, s.m, s.n, packed, base))
+	}
+	for _, s := range larfbShapes {
+		progress(cfg, "larfb %s: packed...", s.name)
+		packed := timeLarfb(s.m, s.k, s.n, minSample, lapack.Larfb)
+		progress(cfg, "larfb %s: baseline...", s.name)
+		base := timeLarfb(s.m, s.k, s.n, minSample, refLarfb)
+		lc := LarfbCase{Name: s.name, M: s.m, K: s.k, N: s.n, PackedGFlops: packed, BaselineGFlops: base}
 		if base > 0 {
-			tc.Speedup = packed / base
+			lc.Speedup = packed / base
 		}
-		rep.Trsm = append(rep.Trsm, tc)
+		rep.Larfb = append(rep.Larfb, lc)
 	}
 	rep.EngineReuse = runEngineReuse(ctx, cfg)
 	return rep
@@ -277,7 +402,7 @@ func (r *GemmReport) WriteJSON(w io.Writer) error {
 func (r *GemmReport) Table() *Table {
 	t := &Table{
 		ID:       "gemm",
-		Title:    "Packed Dgemm and Dtrsm vs frozen baseline (GFlop/s)",
+		Title:    "Packed Dgemm, Dtrsm, Dtrmm and Larfb vs frozen baseline (GFlop/s)",
 		PaperRef: "kernel trajectory (doc/KERNELS.md)",
 		Columns:  []string{"packed", "baseline", "speedup"},
 		Unit:     "GFlop/s (speedup is a ratio)",
@@ -295,6 +420,22 @@ func (r *GemmReport) Table() *Table {
 	for _, c := range r.Trsm {
 		t.Rows = append(t.Rows, RowData{
 			Label: fmt.Sprintf("trsm %s (%s %dx%d)", c.Name, c.Side, c.M, c.N),
+			Values: map[string]float64{
+				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
+			},
+		})
+	}
+	for _, c := range r.Trmm {
+		t.Rows = append(t.Rows, RowData{
+			Label: fmt.Sprintf("trmm %s (%s %dx%d)", c.Name, c.Side, c.M, c.N),
+			Values: map[string]float64{
+				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
+			},
+		})
+	}
+	for _, c := range r.Larfb {
+		t.Rows = append(t.Rows, RowData{
+			Label: fmt.Sprintf("larfb %s (%dx%d, n=%d)", c.Name, c.M, c.K, c.N),
 			Values: map[string]float64{
 				"packed": c.PackedGFlops, "baseline": c.BaselineGFlops, "speedup": c.Speedup,
 			},

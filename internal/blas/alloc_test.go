@@ -74,6 +74,42 @@ func TestDtrsmZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDtrmmZeroAlloc pins the masked-pack Dtrmm to zero steady-state heap
+// allocations at the shapes of a CAQR leaf update (V 700 x 100, C 700 x
+// 100): Larfb's left multiplies by the 100 x 100 triangles V1 and T, and a
+// right multiply of the 700 x 100 block. The packed triangle and the staged
+// operand come from internal/scratch.
+func TestDtrmmZeroAlloc(t *testing.T) {
+	const nb, m = 100, 700
+	tri := make([]float64, nb*nb)
+	for i := range tri {
+		tri[i] = float64(i%7)*0.01 - 0.03
+	}
+	for _, c := range []struct {
+		side  Side
+		uplo  Uplo
+		trans Transpose
+		m, n  int
+	}{
+		{Left, Lower, Trans, nb, nb},
+		{Left, Upper, NoTrans, nb, nb},
+		{Right, Upper, NoTrans, m, nb},
+	} {
+		b := make([]float64, c.m*c.n)
+		for i := range b {
+			b[i] = float64(i%5) * 0.25
+		}
+		run := func() {
+			Dtrmm(c.side, c.uplo, c.trans, NonUnit, c.m, c.n, 1, tri, nb, b, c.m)
+		}
+		run()
+		run()
+		if avg := testing.AllocsPerRun(5, run); avg != 0 {
+			t.Fatalf("Dtrmm(side=%v, %d×%d) allocates %.1f objects per call in steady state, want 0", c.side, c.m, c.n, avg)
+		}
+	}
+}
+
 // TestScratchZeroAlloc pins the Get/Put round trip itself to zero
 // allocations once the buffer and its header box are pooled.
 func TestScratchZeroAlloc(t *testing.T) {

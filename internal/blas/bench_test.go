@@ -48,6 +48,23 @@ func BenchmarkDtrsmRightUpper(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
 }
 
+func BenchmarkDtrmmLeftLower(b *testing.B) {
+	// The Larfb shape W = V1^T W: a b x b unit lower triangle against a
+	// b x b block of the trailing matrix.
+	// W is restored before every multiply (inside the timed loop) so the
+	// values neither overflow nor decay into subnormals.
+	tri := matrix.Random(100, 100, 3)
+	src := matrix.Random(100, 100, 4)
+	w := src.Clone()
+	flops := float64(100) * 100 * 100
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(w.Data, src.Data)
+		Trmm(Left, Lower, Trans, Unit, 1, tri, w)
+	}
+	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+}
+
 func BenchmarkDgemv(b *testing.B) {
 	a := matrix.Random(2048, 2048, 5)
 	x := matrix.Random(2048, 1, 6).Col(0)

@@ -111,9 +111,9 @@ func TestDgemmDifferential(t *testing.T) {
 	})
 }
 
-// triSizes cover every MR/NR fringe of the fused Dtrsm tiles (1..9), the
-// 4-wide diagonal blocks of its solve sweep, and Dtrmm's 64-wide diagonal
-// block boundary (63..65).
+// triSizes cover every MR/NR fringe of the packed Dtrsm and Dtrmm tiles
+// (1..9), the 4-wide diagonal blocks of Dtrsm's solve sweep, and strip
+// counts on both sides of a multiple of MR and NR (63..65).
 var triSizes = []int{1, 2, 5, 8, 9, 17, 63, 64, 65, 100, 130}
 
 // caluTrsmShapes are the solves CALU issues: the tall right-side L block
@@ -203,6 +203,54 @@ func TestDtrsmDifferential(t *testing.T) {
 	})
 }
 
+// qrTrmmShapes are the multiplies the QR kernels issue at b = 100 and
+// tiled b = 130 — Larfb's left products by V1 and T against a b-column
+// block, GEQR3's right product for T12 — plus shapes that cross the
+// trmmNB = 256 diagonal blocks once and twice, so the off-diagonal Dgemm
+// updates run in every block order.
+var qrTrmmShapes = []struct {
+	side blas.Side
+	m, n int
+}{
+	{blas.Left, 100, 100}, {blas.Left, 130, 100}, {blas.Right, 100, 50},
+	{blas.Left, 257, 13}, {blas.Left, 530, 6}, {blas.Right, 11, 300}, {blas.Right, 5, 517},
+}
+
+// checkTrmm runs one Dtrmm case against baseline.RefTrmm. The triangle
+// Dtrmm sees has NaN in its unused half, and on its diagonal when diag is
+// Unit, as R's storage does in QR, while RefTrmm gets a clean copy; the
+// whole B slice is compared, so a NaN that leaks or a write into the
+// lda/ldb padding fails the case.
+func checkTrmm(t *testing.T, r *lcg, side blas.Side, uplo blas.Uplo, trans blas.Transpose, diag blas.Diag, m, n, ldSlack int, alpha float64) {
+	t.Helper()
+	na := m
+	if side == blas.Right {
+		na = n
+	}
+	lda := na + ldSlack
+	ldb := m + ldSlack
+	clean := wellConditioned(na, lda, r)
+	a := append([]float64(nil), clean...)
+	for j := 0; j < na; j++ {
+		for i := 0; i < na; i++ {
+			unused := (uplo == blas.Upper && i > j) || (uplo == blas.Lower && i < j)
+			if unused || (i == j && diag == blas.Unit) {
+				a[j*lda+i] = math.NaN()
+			}
+		}
+	}
+	b := randSlice(ldb*n, r)
+	want := append([]float64(nil), b...)
+	blas.Dtrmm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
+	baseline.RefTrmm(side, uplo, trans, diag, m, n, alpha, clean, lda, want, ldb)
+	for i := range b {
+		if !closeEnough(b[i], want[i], float64(na)) {
+			t.Fatalf("Dtrmm side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
+				side, uplo, trans, diag, m, n, lda, alpha, i, b[i], want[i])
+		}
+	}
+}
+
 func TestDtrmmDifferential(t *testing.T) {
 	bothKernels(t, func(t *testing.T) {
 		r := lcg(3)
@@ -213,31 +261,23 @@ func TestDtrmmDifferential(t *testing.T) {
 					for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
 						for _, m := range triSizes {
 							for _, n := range triSizes {
-								if m > 65 && n > 65 {
+								if m > 65 && n > 65 { // qrTrmmShapes covers the large ones
 									continue
 								}
 								caseIdx++
-								na := m
-								if side == blas.Right {
-									na = n
-								}
-								ldSlack := caseIdx % 3
-								lda := na + ldSlack
-								ldb := m + ldSlack
-								alpha := []float64{1, -0.6, 1.8}[caseIdx%3]
-								a := wellConditioned(na, lda, &r)
-								b := randSlice(ldb*n, &r)
-								want := append([]float64(nil), b...)
-								blas.Dtrmm(side, uplo, trans, diag, m, n, alpha, a, lda, b, ldb)
-								baseline.RefTrmm(side, uplo, trans, diag, m, n, alpha, a, lda, want, ldb)
-								for i := range b {
-									if !closeEnough(b[i], want[i], float64(na)) {
-										t.Fatalf("Dtrmm side=%v uplo=%v trans=%v diag=%v m=%d n=%d lda=%d alpha=%g: b[%d]=%g want %g",
-											side, uplo, trans, diag, m, n, lda, alpha, i, b[i], want[i])
-									}
-								}
+								checkTrmm(t, &r, side, uplo, trans, diag, m, n, caseIdx%3, []float64{1, -0.6, 1.8}[caseIdx%3])
 							}
 						}
+					}
+				}
+			}
+		}
+		for _, s := range qrTrmmShapes {
+			for _, uplo := range []blas.Uplo{blas.Upper, blas.Lower} {
+				for _, trans := range []blas.Transpose{blas.NoTrans, blas.Trans} {
+					for _, diag := range []blas.Diag{blas.NonUnit, blas.Unit} {
+						caseIdx++
+						checkTrmm(t, &r, s.side, uplo, trans, diag, s.m, s.n, 1+caseIdx%3, []float64{-0.6, 1.8, 0.35}[caseIdx%3])
 					}
 				}
 			}

@@ -12,9 +12,10 @@ import (
 // recycled through internal/scratch. Dtrsm (trsm.go) is a fused GEMM-TRSM
 // on the same packed strips and microkernel: it subtracts the solved part
 // of each MR x NR tile with gemmKernel and finishes the tile with a small
-// triangular micro-solve. Dtrmm is a blocked driver that multiplies
-// trmmNB-wide diagonal blocks with the unblocked kernels in level3unb.go
-// and pushes all off-diagonal work through Dgemm. The pre-refactor unpacked
+// triangular micro-solve. Dtrmm is a blocked driver: each trmmNB-wide
+// diagonal block is one packed product against a masked pack of the
+// triangle (packTri) on the same microkernel, and all off-diagonal work
+// goes through Dgemm. The pre-refactor unpacked
 // kernels live on as baseline.RefGemm/RefTrsm/RefTrmm, the
 // differential-testing references.
 
@@ -38,9 +39,10 @@ var (
 )
 
 // trmmNB is the diagonal block width of the blocked Dtrmm driver: triangles
-// up to this order multiply with the unblocked kernels, larger ones split
-// so the off-diagonal products run through the packed Dgemm.
-const trmmNB = 64
+// up to this order multiply as one packed product (trmmDiag), larger ones
+// split so the off-diagonal products run through Dgemm. It matches the
+// default KC depth; doc/KERNELS.md records how it was measured.
+const trmmNB = 256
 
 // BlockSizes returns the active cache blocking parameters (MC, KC, NC) of
 // the packed Dgemm.
@@ -148,8 +150,8 @@ func scaleCols(n, m int, beta float64, c []float64, ldc int) {
 // Dtrmm computes B = alpha*op(A)*B (side == Left) or B = alpha*B*op(A)
 // (side == Right) for triangular A, overwriting B; alpha == 0 sets B to
 // zero without reading A. The driver is blocked: diagonal blocks multiply
-// with the unblocked kernels and the off-diagonal contributions accumulate
-// through the packed Dgemm, ordered so every block reads only
+// on the packed microkernel (trmmDiag) and the off-diagonal contributions
+// accumulate through the packed Dgemm, ordered so every block reads only
 // not-yet-overwritten parts of B.
 func Dtrmm(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
 	na := m
@@ -187,7 +189,7 @@ func trmmLeftBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha floa
 		ib := min(trmmNB, m-i0)
 		// Diagonal contribution first: B_i = alpha*op(A_ii)*B_i leaves the
 		// off-diagonal operand rows untouched.
-		trmmUnbLeft(uplo, trans, diag, ib, n, alpha, a[i0*lda+i0:], lda, b[i0:], ldb)
+		trmmDiag(Left, uplo, trans, diag, ib, n, alpha, a[i0*lda+i0:], lda, b[i0:], ldb)
 		rest := m - i0 - ib
 		switch {
 		case uplo == Upper && trans == NoTrans && rest > 0:
@@ -216,7 +218,7 @@ func trmmRightBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 			j0 = (n - bj - 1) / trmmNB * trmmNB
 		}
 		jb := min(trmmNB, n-j0)
-		trmmUnbRight(uplo, trans, diag, m, jb, alpha, a[j0*lda+j0:], lda, b[j0*ldb:], ldb)
+		trmmDiag(Right, uplo, trans, diag, m, jb, alpha, a[j0*lda+j0:], lda, b[j0*ldb:], ldb)
 		rest := n - j0 - jb
 		switch {
 		case uplo == Upper && trans == NoTrans && j0 > 0:
@@ -232,6 +234,51 @@ func trmmRightBlocked(uplo Uplo, trans Transpose, diag Diag, m, n int, alpha flo
 			// B_j += alpha * B_old[:, 0:j0] * (A[j0:j0+jb, 0:j0])^T
 			Dgemm(NoTrans, Trans, m, jb, j0, alpha, b, ldb, a[j0:], lda, 1, b[j0*ldb:], ldb)
 		}
+	}
+}
+
+// trmmDiag multiplies one diagonal block in place: B = alpha*op(A)*B on the
+// left (A of order m) or B = alpha*B*op(A) on the right (order n), as one
+// packed GEMM whose depth is the triangle order. The triangle E is packed
+// once by packTri with alpha folded in and zeros outside it: E = op(A) as
+// the MR-strip A operand on the left, E = op(A)^T as the NR-strip B operand
+// on the right. The in-place operand is staged through its own pack (packB
+// of B's columns on the left, packA of B's rows on the right), so B can be
+// cleared and the macrokernel accumulates the product straight into it
+// (beta = 0).
+func trmmDiag(side Side, uplo Uplo, trans Transpose, diag Diag, m, n int, alpha float64, a []float64, lda int, b []float64, ldb int) {
+	left := side == Left
+	eTrans := trans
+	if !left {
+		eTrans = !trans
+	}
+	eUpper := (uplo == Upper) == (eTrans == NoTrans)
+	if left {
+		tp := scratch.Get(ceilMul(m, gemmMR) * m)
+		defer scratch.Put(tp)
+		packTri(gemmMR, eTrans, eUpper, diag, m, alpha, a, lda, tp)
+		nc := min(gemmNC, ceilMul(n, gemmNR))
+		bp := scratch.Get(m * nc)
+		defer scratch.Put(bp)
+		for jc := 0; jc < n; jc += nc {
+			ncb := min(nc, n-jc)
+			packB(NoTrans, m, ncb, b[jc*ldb:], ldb, bp)
+			scaleCols(ncb, m, 0, b[jc*ldb:], ldb)
+			trmmMacro(m, ncb, m, eUpper, true, tp, bp, b[jc*ldb:], ldb)
+		}
+		return
+	}
+	tp := scratch.Get(n * ceilMul(n, gemmNR))
+	defer scratch.Put(tp)
+	packTri(gemmNR, eTrans, eUpper, diag, n, alpha, a, lda, tp)
+	mc := min(gemmMC, ceilMul(m, gemmMR))
+	ap := scratch.Get(mc * n)
+	defer scratch.Put(ap)
+	for ic := 0; ic < m; ic += mc {
+		mcb := min(mc, m-ic)
+		packA(NoTrans, mcb, n, 1, b[ic:], ldb, ap)
+		scaleCols(n, mcb, 0, b[ic:], ldb)
+		trmmMacro(mcb, n, n, eUpper, false, ap, tp, b[ic:], ldb)
 	}
 }
 

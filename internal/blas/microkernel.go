@@ -136,9 +136,7 @@ func kernel4x4(kc int, a, b, c []float64, ldc int) {
 
 // macroKernel sweeps the packed mc x kc A panel against the packed kc x nc
 // B panel, issuing one microkernel call per MR x NR tile of the C macro
-// block. Full tiles update C in place; fringe tiles run against a zeroed
-// MRxNR buffer whose valid region is then added to C, masking the packing
-// padding.
+// block. Full tiles update C in place; fringe tiles go through fringeTile.
 func macroKernel(mc, nc, kc int, ap, bp, c []float64, ldc int) {
 	for jr := 0; jr < nc; jr += gemmNR {
 		jb := min(gemmNR, nc-jr)
@@ -150,15 +148,52 @@ func macroKernel(mc, nc, kc int, ap, bp, c []float64, ldc int) {
 				gemmKernel(kc, as, bs, c[jr*ldc+ir:], ldc)
 				continue
 			}
-			var tmp [gemmMR * gemmNR]float64
-			gemmKernel(kc, as, bs, tmp[:], gemmMR)
-			for j := 0; j < jb; j++ {
-				dst := c[(jr+j)*ldc+ir : (jr+j)*ldc+ir+ib]
-				src := tmp[j*gemmMR : j*gemmMR+ib]
-				for i, v := range src {
-					dst[i] += v
-				}
+			fringeTile(kc, as, bs, c[jr*ldc+ir:], ldc, ib, jb)
+		}
+	}
+}
+
+// trmmMacro is macroKernel for a product with a packed triangle E (Dtrmm's
+// diagonal blocks): the A strips hold E when triA is set, the B strips
+// otherwise, both na deep. A strip of E starting at index x0 is zero
+// outside the depth range [x0, na) when E is upper and [0, x0+width) when
+// it is lower, so each microkernel call runs over that range only.
+func trmmMacro(mc, nc, na int, eUpper, triA bool, ap, bp, c []float64, ldc int) {
+	for jr := 0; jr < nc; jr += gemmNR {
+		jb := min(gemmNR, nc-jr)
+		for ir := 0; ir < mc; ir += gemmMR {
+			ib := min(gemmMR, mc-ir)
+			x0, w := jr, gemmNR
+			if triA {
+				x0, w = ir, gemmMR
 			}
+			p0, p1 := 0, min(na, x0+w)
+			if eUpper {
+				p0, p1 = x0, na
+			}
+			as := ap[ir*na+p0*gemmMR : ir*na+p1*gemmMR]
+			bs := bp[jr*na+p0*gemmNR : jr*na+p1*gemmNR]
+			if ib == gemmMR && jb == gemmNR {
+				gemmKernel(p1-p0, as, bs, c[jr*ldc+ir:], ldc)
+				continue
+			}
+			fringeTile(p1-p0, as, bs, c[jr*ldc+ir:], ldc, ib, jb)
+		}
+	}
+}
+
+// fringeTile adds the kc-deep product of one packed A strip and one packed
+// B strip to the ib x jb fringe tile of C: the microkernel runs against a
+// zeroed MR x NR buffer whose valid region is then added to C, masking the
+// packing padding.
+func fringeTile(kc int, as, bs, c []float64, ldc, ib, jb int) {
+	var tmp [gemmMR * gemmNR]float64
+	gemmKernel(kc, as, bs, tmp[:], gemmMR)
+	for j := 0; j < jb; j++ {
+		dst := c[j*ldc : j*ldc+ib]
+		src := tmp[j*gemmMR : j*gemmMR+ib]
+		for i, v := range src {
+			dst[i] += v
 		}
 	}
 }

@@ -100,3 +100,54 @@ func packB(trans Transpose, kc, nc int, b []float64, ldb int, buf []float64) {
 func ceilMul(n, q int) int {
 	return (n + q - 1) / q * q
 }
+
+// packTri packs the na x na triangle E, scaled by alpha, into w-wide strips
+// of depth na — the packA format for w == MR, packB's for w == NR — with
+// E(x, p) at buf[x0*na + p*w + x-x0] for the strip starting at x0. E is
+// read from a as E(x, p) = a[p*lda+x] (eTrans == NoTrans) or a[x*lda+p],
+// and is upper (nonzero for x <= p) when eUpper is set, lower otherwise.
+// Entries outside the triangle and the padding lanes are written as zeros
+// and a Unit diagonal as alpha, so the other half of A (in QR, R's storage)
+// and a Unit diagonal are never read and NaN or Inf there cannot reach the
+// product.
+func packTri(w int, eTrans Transpose, eUpper bool, diag Diag, na int, alpha float64, a []float64, lda int, buf []float64) {
+	for x0 := 0; x0 < na; x0 += w {
+		xb := min(w, na-x0)
+		dst := buf[x0*na : x0*na+w*na]
+		clear(dst)
+		if eTrans == NoTrans {
+			// Column p of a holds E(·, p): lanes [lo, hi) of depth p are
+			// its off-diagonal entries in this strip.
+			for p := 0; p < na; p++ {
+				lo, hi := 0, min(xb, p-x0)
+				if !eUpper {
+					lo, hi = max(0, p-x0+1), xb
+				}
+				d := dst[p*w : p*w+w]
+				for l := lo; l < hi; l++ {
+					d[l] = alpha * a[p*lda+x0+l]
+				}
+			}
+		} else {
+			// Column x of a holds E(x, ·): lane x's off-diagonal depths
+			// are (x, na) for an upper E and [0, x) for a lower one.
+			for l := 0; l < xb; l++ {
+				x := x0 + l
+				p0, p1 := x+1, na
+				if !eUpper {
+					p0, p1 = 0, x
+				}
+				for p, v := range a[x*lda+p0 : x*lda+p1] {
+					dst[(p0+p)*w+l] = alpha * v
+				}
+			}
+		}
+		for l := 0; l < xb; l++ {
+			x := x0 + l
+			dst[x*w+l] = alpha
+			if diag == NonUnit {
+				dst[x*w+l] *= a[x*lda+x]
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/scratch"
 )
 
 // Larfg generates an elementary Householder reflector H = I - tau*v*v^T
@@ -48,7 +49,8 @@ func GEQR2(a *matrix.Dense, tau []float64) {
 	if len(tau) != k {
 		panic(fmt.Errorf("%w: GEQR2 tau length %d want %d", ErrShape, len(tau), k))
 	}
-	work := make([]float64, n)
+	work := scratch.Get(n)
+	defer scratch.Put(work)
 	for j := 0; j < k; j++ {
 		col := a.Col(j)
 		beta, t := Larfg(col[j], col[j+1:m])
@@ -116,46 +118,46 @@ func Larft(v *matrix.Dense, tau []float64, t *matrix.Dense) {
 // Larfb applies the compact-WY block reflector Q = I - V*T*V^T (or its
 // transpose) to c from the left: c = op(Q) * c. v is m x k unit lower
 // trapezoidal (entries on and above the diagonal are ignored), t is the
-// k x k triangular factor from Larft, and c is m x n.
+// k x k triangular factor from Larft, and c is m x n. The k x n workspace
+// comes from internal/scratch, so a call allocates nothing.
 func Larfb(trans blas.Transpose, v, t, c *matrix.Dense) {
 	m, k := v.Rows, v.Cols
-	if c.Rows != m {
-		panic(fmt.Errorf("%w: Larfb C rows %d want %d", ErrShape, c.Rows, m))
+	if c.Rows != m || m < k {
+		panic(fmt.Errorf("%w: Larfb V is %dx%d, C has %d rows", ErrShape, m, k, c.Rows))
+	}
+	if t.Rows != k || t.Cols != k {
+		panic(fmt.Errorf("%w: Larfb T is %dx%d want %dx%d", ErrShape, t.Rows, t.Cols, k, k))
 	}
 	n := c.Cols
 	if n == 0 || k == 0 {
 		return
 	}
-	// W = V^T C = V1^T C1 + V2^T C2, with V1 the unit lower triangle.
-	w := matrix.New(k, n)
-	c1 := c.View(0, 0, k, n)
-	w.CopyFrom(c1)
-	v1 := v.View(0, 0, k, k)
-	blas.Trmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, 1, v1, w)
-	if m > k {
-		v2 := v.View(k, 0, m-k, k)
-		c2 := c.View(k, 0, m-k, n)
-		blas.Gemm(blas.Trans, blas.NoTrans, 1, v2, c2, 1, w)
-	}
-	// W = op(T)^T W — note Q = I - V T V^T so Q^T = I - V T^T V^T: applying
-	// Q uses T, applying Q^T uses T^T.
-	tOp := blas.NoTrans
-	if trans == blas.Trans {
-		tOp = blas.Trans
-	}
-	blas.Trmm(blas.Left, blas.Upper, tOp, blas.NonUnit, 1, t, w)
-	// C = C - V W.
-	if m > k {
-		v2 := v.View(k, 0, m-k, k)
-		c2 := c.View(k, 0, m-k, n)
-		blas.Gemm(blas.NoTrans, blas.NoTrans, -1, v2, w, 1, c2)
-	}
-	blas.Trmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, 1, v1, w)
+	// V = [V1; V2] and C = [C1; C2] split after row k; V1 is the unit lower
+	// triangle.
+	vd, ldv := v.Data, v.Stride
+	cd, ldc := c.Data, c.Stride
+	// W = V^T C = V1^T C1 + V2^T C2, k x n with leading dimension k.
+	w := scratch.Get(k * n)
+	defer scratch.Put(w)
 	for j := 0; j < n; j++ {
-		cj := c1.Col(j)
-		wj := w.Col(j)
-		for i := range cj {
-			cj[i] -= wj[i]
+		copy(w[j*k:j*k+k], cd[j*ldc:j*ldc+k])
+	}
+	blas.Dtrmm(blas.Left, blas.Lower, blas.Trans, blas.Unit, k, n, 1, vd, ldv, w, k)
+	if m > k {
+		blas.Dgemm(blas.Trans, blas.NoTrans, k, n, m-k, 1, vd[k:], ldv, cd[k:], ldc, 1, w, k)
+	}
+	// W = op(T) W — note Q = I - V T V^T so Q^T = I - V T^T V^T: applying
+	// Q uses T, applying Q^T uses T^T.
+	blas.Dtrmm(blas.Left, blas.Upper, trans, blas.NonUnit, k, n, 1, t.Data, t.Stride, w, k)
+	// C2 -= V2 W, then C1 -= V1 W.
+	if m > k {
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, m-k, n, k, -1, vd[k:], ldv, w, k, 1, cd[k:], ldc)
+	}
+	blas.Dtrmm(blas.Left, blas.Lower, blas.NoTrans, blas.Unit, k, n, 1, vd, ldv, w, k)
+	for j := 0; j < n; j++ {
+		cj := cd[j*ldc : j*ldc+k]
+		for i, x := range w[j*k : j*k+k] {
+			cj[i] -= x
 		}
 	}
 }

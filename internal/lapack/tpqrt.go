@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/blas"
 	"repro/internal/matrix"
+	"repro/internal/scratch"
 )
 
 // TPQRT computes the QR factorization of the stacked pair
@@ -32,7 +33,8 @@ func TPQRT(r, b, t *matrix.Dense) {
 	}
 	m := b.Rows
 	t.Zero()
-	tau := make([]float64, bw)
+	tau := scratch.Get(bw)
+	defer scratch.Put(tau)
 	for j := 0; j < bw; j++ {
 		// Reflector j annihilates B(:, j) against R(j, j). Its vector is
 		// [e_j; v2] with v2 dense of length m.
@@ -99,8 +101,10 @@ func TPMQRT(trans blas.Transpose, v, t, c1, c2 *matrix.Dense) {
 	if n == 0 || bw == 0 {
 		return
 	}
-	// W = C1 + V2^T C2.
-	w := c1.Clone()
+	// W = C1 + V2^T C2, in a pooled workspace.
+	w := scratch.Dense(bw, n)
+	defer scratch.Release(w)
+	w.CopyFrom(c1)
 	blas.Gemm(blas.Trans, blas.NoTrans, 1, v, c2, 1, w)
 	// W = op(T) W. Q = I - V T V^T, so Q uses T and Q^T uses T^T.
 	tOp := blas.NoTrans
@@ -139,7 +143,8 @@ func TTQRT(r1, r2, t *matrix.Dense) {
 		panic(fmt.Errorf("%w: TTQRT T is %dx%d want %dx%d", ErrShape, t.Rows, t.Cols, bw, bw))
 	}
 	t.Zero()
-	tau := make([]float64, bw)
+	tau := scratch.Get(bw)
+	defer scratch.Put(tau)
 	for j := 0; j < bw; j++ {
 		// Tail = R2(0:j+1, j), head = R1(j, j).
 		tail := r2.Col(j)[:j+1]
@@ -201,7 +206,9 @@ func TTMQRT(trans blas.Transpose, v2, t, c1, c2 *matrix.Dense) {
 		return
 	}
 	// W = C1 + V2^T C2; V2 is upper triangular with explicit diagonal.
-	w := c2.Clone()
+	w := scratch.Dense(bw, c2.Cols)
+	defer scratch.Release(w)
+	w.CopyFrom(c2)
 	blas.Trmm(blas.Left, blas.Upper, blas.Trans, blas.NonUnit, 1, v2, w)
 	for j := 0; j < w.Cols; j++ {
 		wj, cj := w.Col(j), c1.Col(j)

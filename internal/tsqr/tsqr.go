@@ -94,14 +94,14 @@ type Factorization struct {
 func qrFull(a *matrix.Dense) *matrix.Dense {
 	k := min(a.Rows, a.Cols)
 	t := matrix.New(k, k)
+	tau := scratch.Get(k)
+	defer scratch.Put(tau)
 	if a.Rows >= a.Cols {
-		tau := make([]float64, a.Cols)
 		lapack.GEQR3(a, tau, t)
 		return t
 	}
-	tau := make([]float64, k)
 	lapack.GEQR2(a, tau)
-	lapack.Larft(a.View(0, 0, a.Rows, k), tau[:k], t)
+	lapack.Larft(a.View(0, 0, a.Rows, k), tau, t)
 	return t
 }
 
